@@ -39,8 +39,8 @@ def run_grid(trial, grid, **run_kwargs):
 
 
 def main() -> None:
-    backend = "numpy (vectorized)" if numpy_available() else "pure-python fallback"
-    print(f"DBAC vs averaging baselines, batched (batch backend: {backend})")
+    path = "numpy (vectorized)" if numpy_available() else "serial lanes (no numpy)"
+    print(f"DBAC vs averaging baselines, batched (batch path: {path})")
     print("-" * 68)
 
     dbac_grid = {"n": SIZES, "strategy": ["extreme"], "epsilon": [EPSILON]}

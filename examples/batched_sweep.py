@@ -36,8 +36,8 @@ def timed_sweep(**run_kwargs):
 
 
 def main() -> None:
-    backend = "numpy (vectorized)" if numpy_available() else "pure-python fallback"
-    print(f"Boundary DAC sweep, three ways (batch backend: {backend})")
+    path = "numpy (vectorized)" if numpy_available() else "serial lanes (no numpy)"
+    print(f"Boundary DAC sweep, three ways (batch path: {path})")
     print("-" * 60)
 
     serial, serial_s = timed_sweep(workers=1, batch=1)

@@ -819,8 +819,9 @@ def experiment_s3(quick: bool = True) -> TableResult:
     grouped into :mod:`repro.sim.batch` lock-step batches -- and
     asserts the subsystem's core claim: the records are *identical*,
     batch size is purely a speed knob. Throughput for both legs is
-    reported; the speedup needs the vectorized numpy backend (the
-    pure-Python fallback exists for portability, not speed).
+    reported; the speedup needs the vectorized numpy kernel (without
+    numpy each lane runs as one serial engine, for portability, not
+    speed).
     """
     from repro.bench.sweep import Sweep
     from repro.sim.batch import numpy_available
@@ -830,10 +831,10 @@ def experiment_s3(quick: bool = True) -> TableResult:
     batch = get_default_batch()
     if batch <= 1:
         batch = 8  # the experiment's subject is batching; default to 8 lanes
-    backend = "numpy" if numpy_available() else "python fallback"
+    path = "numpy" if numpy_available() else "serial lanes"
     table = TableResult(
         "S3",
-        f"Batched executor (boundary DAC, batch={batch}, backend={backend})",
+        f"Batched executor (boundary DAC, batch={batch}, lanes={path})",
         ["n", "trials", "serial trials/s", "batched trials/s", "speedup", "identical"],
     )
     sizes = [9, 17] if quick else [9, 17, 33]
@@ -874,7 +875,7 @@ def experiment_s4(quick: bool = True) -> TableResult:
     the value-dependent selector and witness-counter state the
     vectorized kernel had to learn) twice through
     :class:`repro.bench.sweep.Sweep` -- per trial and grouped into
-    :class:`repro.sim.batch.ByzBatchEngine` lock-step batches -- and
+    :class:`repro.sim.batch.ByzBatchEngine` kernel batches -- and
     asserts the records are identical: batch size is purely a speed
     knob for the Byzantine lane families too (see docs/batching.md).
     """
@@ -886,10 +887,10 @@ def experiment_s4(quick: bool = True) -> TableResult:
     batch = get_default_batch()
     if batch <= 1:
         batch = 8  # the experiment's subject is batching; default to 8 lanes
-    backend = "numpy" if numpy_available() else "python fallback"
+    path = "numpy" if numpy_available() else "serial lanes"
     table = TableResult(
         "S4",
-        f"Batched DBAC lanes (boundary adversary, batch={batch}, backend={backend})",
+        f"Batched DBAC lanes (boundary adversary, batch={batch}, lanes={path})",
         ["n", "trials", "serial trials/s", "batched trials/s", "speedup", "identical"],
     )
     sizes = [11, 16] if quick else [11, 16, 33]

@@ -19,8 +19,8 @@ tracked from this PR on (CI runs it at tiny ``n``; the
   adversary, purely as the comparison baseline).
 
 Also asserts the refactor's identity contracts at tiny ``n`` (serial
-vs both batch backends; no ``copy.deepcopy`` inside the candidate
-loop), so the CI smoke is a correctness gate as well as a trend line.
+engines vs :func:`repro.sim.batch.serial_lanes` vs the numpy kernel;
+no ``copy.deepcopy`` inside the candidate loop), so the CI smoke is a correctness gate as well as a trend line.
 
 Usage::
 
@@ -276,11 +276,13 @@ def measure_lookahead(n: int = 9, rounds: int = 60, degree: int | None = None) -
 
 def verify_contracts(n: int = 7) -> dict[str, Any]:
     """The refactor's identity contracts, asserted at tiny ``n``."""
-    from repro.sim.batch import numpy_available, run_dac_batch
+    from functools import partial
+
+    from repro.sim.batch import numpy_available, run_dac_batch, serial_lanes
 
     seeds = [0, 1, 2]
     f = (n - 1) // 2
-    python_lanes = run_dac_batch(n, f, seeds, backend="python")
+    python_lanes = serial_lanes(seeds, partial(build_dac_execution, n=n, f=f))
     # Serial reference: independent Engine runs, lane for lane.
     for seed, lane in zip(seeds, python_lanes):
         kwargs = build_dac_execution(n=n, f=f, seed=seed)
@@ -289,15 +291,15 @@ def verify_contracts(n: int = 7) -> dict[str, Any]:
             kwargs["max_rounds"], stop_when=Engine.all_fault_free_output
         )
         assert lane.rounds == int(result) and lane.stopped == result.stopped, (
-            f"python batch lane diverged from serial engine (seed {seed})"
+            f"serial lane diverged from serial engine (seed {seed})"
         )
         assert lane.state_keys == {
             node: proc.state_key() for node, proc in engine.processes.items()
-        }, f"python batch state diverged from serial engine (seed {seed})"
-    checks = {"serial_vs_python_batch": True, "numpy_checked": False}
+        }, f"serial lane state diverged from serial engine (seed {seed})"
+    checks = {"serial_lanes_vs_engine": True, "numpy_checked": False}
     if numpy_available():
-        numpy_lanes = run_dac_batch(n, f, seeds, backend="numpy")
-        assert numpy_lanes == python_lanes, "numpy backend diverged"
+        numpy_lanes = run_dac_batch(n, f, seeds)
+        assert numpy_lanes == python_lanes, "numpy kernel diverged from serial_lanes"
         checks["numpy_checked"] = True
 
     # No deepcopy inside the candidate loop.

@@ -231,6 +231,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # selector as single-value dimensions (records show them).
         grid["strategy"] = [resolved.params["strategy"]]
         grid["selector"] = [resolved.params["selector"]]
+    if not args.spec:
+        # Family mode runs every cell with the resolved family's
+        # defaults. Knobs left out of the grid take the trial's own
+        # signature defaults, so wherever one differs from the family's
+        # (run_byz_trial defaults to the quorum adversary, the byz
+        # family to mobile-block_min) the family's value rides along as
+        # a single-value dimension. A None default means "derived per
+        # cell" (f from each cell's own n) and stays with the trial.
+        signature = inspect.signature(resolved.trial_fn).parameters
+        for key, value in resolved.trial_kwargs().items():
+            default = signature[key].default
+            if key not in grid and default is not None and default != value:
+                grid[key] = [value]
     if args.observe:
         # Per-trial observer bus: each record's result carries the
         # aggregator summary under "metrics" (identical at any
@@ -258,7 +271,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     sweep.run(
         # Spec mode: the spec's resolved params are the base and grid
         # cells override key-by-key. Family mode: the registry picks
-        # the trial function, but cells carry only the explicit knobs,
+        # the trial function and cells carry the knobs chosen above,
         # so per-cell defaults (e.g. f from each cell's own n) keep the
         # historical CLI semantics.
         resolved.spec if args.spec else resolved.trial_fn,

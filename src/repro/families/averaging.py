@@ -6,13 +6,14 @@ families copy (see ``docs/scenarios.md``): one module that
 1. implements (or imports) its process --
    :class:`repro.core.averaging.AveragingProcess`;
 2. defines a module-level picklable trial function with a
-   ``batch_fn`` attachment (here through the generic python-backend
-   lock-step engine, :class:`repro.sim.batch.GenericBatchEngine` --
-   no dedicated kernel needed) and an ``arena_plan`` hook;
+   ``batch_fn`` attachment (here the trial once per seed -- no
+   dedicated kernel needed) and an ``arena_plan`` hook;
 3. subclasses :class:`repro.scenario.registry.AlgorithmFamily` and
    registers it with :func:`repro.scenario.registry.register_algorithm`
    at import time, reusing the declared component vocabulary
-   (``dynadegree`` / ``quorum``).
+   (``dynadegree`` / ``quorum``). Only ``build`` is needed: the
+   inherited ``batch`` runs each seed through
+   :func:`repro.sim.batch.serial_lanes`.
 
 Nothing here is special-cased anywhere else: the conformance suite
 (`tests/test_scenario_conformance.py`) discovers the family from the
@@ -22,21 +23,16 @@ traced, batch and pooled legs -- with zero new test code.
 
 from __future__ import annotations
 
-import functools
 from typing import Any
 
-from repro.adversary.constrained import (
-    LastMinuteQuorumAdversary,
-    RotatingQuorumAdversary,
-    rotate_topology,
-)
+from repro.adversary.constrained import rotate_topology
 from repro.core.averaging import AVERAGING_RULES, AveragingProcess
 from repro.core.phases import dac_end_phase
 from repro.faults.base import FaultPlan
 from repro.net.ports import random_ports
 from repro.scenario.registry import AlgorithmFamily, ParamSpec, register_algorithm
 from repro.sim.rng import child_rng, spawn_inputs
-from repro.workloads import dac_degree
+from repro.workloads import _quorum_adversary, dac_degree
 
 
 def build_averaging_execution(
@@ -68,14 +64,9 @@ def build_averaging_execution(
         )
         for node in range(n)
     }
-    degree = dac_degree(n)
-    if window == 1:
-        adversary = RotatingQuorumAdversary(degree, selector=selector)
-    else:
-        adversary = LastMinuteQuorumAdversary(window, degree, selector=selector)
     return {
         "processes": processes,
-        "adversary": adversary,
+        "adversary": _quorum_adversary(window, dac_degree(n), selector),
         "ports": ports,
         "epsilon": epsilon,
         "f": f,
@@ -85,27 +76,6 @@ def build_averaging_execution(
         # covers the last batch, as for the reliable baselines.
         "max_rounds": num_rounds + 2 * window,
         "seed": seed,
-    }
-
-
-def _summary(lane, epsilon: float) -> dict[str, Any]:
-    """The trial summary for one lane, with the runner's float slack."""
-    from repro.sim.runner import _FLOAT_SLACK
-
-    outputs = lane.outputs
-    spread = max(outputs.values()) - min(outputs.values()) if outputs else 0.0
-    eps_agreement = not outputs or spread <= epsilon + _FLOAT_SLACK
-    hull_lo = min(lane.inputs.values())
-    hull_hi = max(lane.inputs.values())
-    validity = all(
-        hull_lo - _FLOAT_SLACK <= value <= hull_hi + _FLOAT_SLACK
-        for value in outputs.values()
-    )
-    return {
-        "rounds": lane.rounds,
-        "spread": spread,
-        "terminated": lane.stopped,
-        "correct": lane.stopped and validity and eps_agreement,
     }
 
 
@@ -146,7 +116,10 @@ def run_averaging_trial(
             window=window,
             selector=selector,
             num_rounds=num_rounds,
-        )
+        ),
+        record_trace=False,
+        verify_promise=False,
+        track_phases=False,
     )
     return {
         "rounds": report.rounds,
@@ -168,30 +141,23 @@ def run_averaging_trial_batch(
 ) -> list[dict[str, Any]]:
     """Batched :func:`run_averaging_trial`: one summary per seed, in order.
 
-    Runs through :func:`repro.sim.batch.run_generic_batch` -- the
-    registry's no-kernel-required batched form: real serial engines
-    advanced in lock-step, bit-identical to per-seed serial runs by
-    construction.
+    Averaging has no vectorized kernel, so this is the trial once per
+    seed; it exists so ``batch=B`` sweeps (and their ``arena_plan``
+    prepublication) treat the family like every other.
     """
-    from repro.sim.batch import run_generic_batch
-
-    build = functools.partial(
-        _averaging_build_for_seed,
-        n=n,
-        rule=rule,
-        f=f,
-        epsilon=epsilon,
-        window=window,
-        selector=selector,
-        num_rounds=num_rounds,
-    )
-    lanes = run_generic_batch([int(seed) for seed in seeds], build)
-    return [_summary(lane, epsilon) for lane in lanes]
-
-
-def _averaging_build_for_seed(seed: int, **params: Any) -> dict[str, Any]:
-    """Seed-first adapter for :class:`repro.sim.batch.GenericBatchEngine`."""
-    return build_averaging_execution(seed=seed, **params)
+    return [
+        run_averaging_trial(
+            n=n,
+            rule=rule,
+            f=f,
+            epsilon=epsilon,
+            window=window,
+            selector=selector,
+            num_rounds=num_rounds,
+            seed=int(seed),
+        )
+        for seed in seeds
+    ]
 
 
 def _averaging_arena_plan(params: dict[str, Any]) -> list[Any]:
@@ -235,13 +201,3 @@ class AveragingFamily(AlgorithmFamily):
 
     def build(self, *, seed, **params):
         return build_averaging_execution(seed=seed, **params)
-
-    def batch(self, seeds, *, backend="auto", **params):
-        from repro.sim.batch import run_generic_batch
-
-        build = functools.partial(_averaging_build_for_seed, **params)
-        return run_generic_batch(seeds, build, backend=backend)
-
-    def vectorizable(self, params):
-        # Python backend only (the generic lock-step engine).
-        return False

@@ -20,12 +20,14 @@ Two flavours of entry coexist:
   machinery into this module.
 
 This module depends only on the standard library and the spec
-vocabulary; resolution against the live trial machinery lives in
-:mod:`repro.scenario.resolve`.
+vocabulary (the default :meth:`AlgorithmFamily.batch` defers its one
+import of :mod:`repro.sim.batch` to call time); resolution against the
+live trial machinery lives in :mod:`repro.scenario.resolve`.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
@@ -359,14 +361,19 @@ class AlgorithmFamily:
         """Keyword arguments for :func:`repro.sim.runner.run_consensus`."""
         raise NotImplementedError
 
-    def batch(self, seeds: Sequence[int], *, backend: str = "auto", **params: Any):
-        """Lock-step lanes (:class:`repro.sim.batch.LaneResult` list)."""
-        raise NotImplementedError
+    def batch(self, seeds: Sequence[int], **params: Any):
+        """Lane results for ``seeds`` (:class:`repro.sim.batch.LaneResult` list).
+
+        The default runs each seed through ``build`` and
+        :func:`repro.sim.batch.serial_lanes`; a family with a
+        vectorized kernel overrides this with its one kernel-or-serial
+        switch.
+        """
+        # lint: ignore[layering] — the default lane runner lives in repro.sim; deferred so this module stays stdlib-only at import time
+        from repro.sim.batch import serial_lanes
+
+        return serial_lanes(seeds, functools.partial(self.build, **params))
 
     def trial_kwargs(self, params: Mapping[str, Scalar]) -> dict[str, Scalar]:
         """Map resolved flat params onto ``self.trial``'s signature."""
         return dict(params)
-
-    def vectorizable(self, params: Mapping[str, Scalar]) -> bool:
-        """Whether the numpy batch backend supports these parameters."""
-        return False

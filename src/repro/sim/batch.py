@@ -1,79 +1,71 @@
-"""Batched lock-step execution: advance B independent trials at once.
+"""Batched execution: one call runs ``B`` independent trials, one lane per seed.
 
 Large sweeps are dominated by grids of *small, independent* executions
 (DAC trials across ``n``, ``f``, window and seed). The process-pool
 layer (:mod:`repro.sim.parallel`) scales those across cores; this
-module attacks the per-trial interpreter overhead inside one process:
-a :class:`BatchEngine` advances ``B`` independent executions of the
-boundary DAC family *in lock-step*, so one pass over the round
-structure serves every lane at once.
+module attacks the per-trial interpreter overhead inside one process
+with **vectorized numpy kernels** (numpy is an optional extra, see
+``setup.py``): node states live in ``(B, n)`` arrays and each round is
+processed port-by-port with vectorized updates across all ``B * n``
+nodes. The port-major sweep preserves the serial engine's delivery
+order exactly (deliveries are consumed sorted by port; within one
+port, node transitions only read the round-start broadcast snapshot,
+so they are independent).
 
-Two backends implement the same contract:
-
-- **numpy** (used automatically when numpy -- an optional extra, see
-  ``setup.py`` -- is importable): node states live in ``(B, n)``
-  arrays and each round is processed port-by-port with vectorized
-  updates across all ``B * n`` nodes. The port-major sweep preserves
-  the serial engine's delivery order exactly (deliveries are consumed
-  sorted by port; within one port, node transitions only read the
-  round-start broadcast snapshot, so they are independent);
-- **python** (always importable, no third-party dependencies): the
-  same lock-step loop over ``B`` real :class:`~repro.sim.engine.Engine`
-  instances. No speedup -- it exists so batching is a pure speed knob
-  on any interpreter, and as the executable specification the numpy
-  kernel is tested against.
-
-Both backends produce **bit-identical final states and round counts**
-to ``B`` serial ``Engine`` runs: every lane derives its inputs, ports
-and crash plan from its own seed through the exact same
-:mod:`repro.sim.rng` child streams the serial builders use, so batching
-(and batch *order*) cannot perturb results.
-
-Three lane families are covered (see docs/batching.md):
+Three kernels cover the lane families the paper's grids sweep (see
+docs/batching.md):
 
 - :class:`BatchEngine` / :func:`run_dac_batch` -- fault-free and
-  crash-fault boundary DAC under the enforcing quorum adversaries,
-  precisely what :func:`repro.workloads.run_dac_trial` runs;
+  crash-fault boundary DAC under the enforcing ``rotate`` quorum
+  adversaries, precisely what :func:`repro.workloads.run_dac_trial`
+  runs;
 - :class:`ByzBatchEngine` / :func:`run_dbac_batch` /
   :func:`run_byz_batch` -- boundary DBAC with Byzantine strategies
   under the enforcing ``nearest``/``rotate`` adversaries, and
   mobile-omission DAC, precisely what
   :func:`repro.workloads.run_dbac_trial` / ``run_byz_trial`` run. The
-  numpy kernel vectorizes DBAC's witness counters and ``f+1``-trimmed
-  updates, replicates the value-dependent ``nearest`` selection with
-  one stable argsort per round, and supports **lane compaction**:
-  finished rows are re-filled from a pending seed queue so long-tailed
-  grids keep full vector width;
+  kernel vectorizes DBAC's witness counters and ``f+1``-trimmed
+  updates, and replicates the value-dependent ``nearest`` selection
+  with one stable argsort per round;
 - :class:`BaselineBatchEngine` / :func:`run_baseline_batch` -- the
   reliable-channel averaging baselines (iterated midpoint / trimmed
   mean) under the same enforcing quorum adversaries, precisely what
-  :func:`repro.workloads.run_baseline_trial` runs. Two floats of
-  per-node state and a fixed round budget make these the simplest
-  lanes: one ``(B, n)`` value matrix advanced for exactly
-  ``num_rounds`` delivery rounds.
+  :func:`repro.workloads.run_baseline_trial` runs: one ``(B, n)``
+  value matrix advanced for exactly ``num_rounds`` delivery rounds.
+
+Each kernel owns one predicate, ``vectorizes(...)``, and its
+constructor raises ``ValueError`` on parameters the predicate rejects
+(RNG-driven selectors or strategies, or no numpy at all). Everything
+else -- those parameters, and every family without a kernel -- runs
+through :func:`serial_lanes`: one serial
+:meth:`~repro.sim.engine.Engine.run` per seed. A python lock-step
+loop over ``B`` engines measured no faster than that per-seed loop,
+so there is no python kernel. Each family in :mod:`repro.workloads`
+picks kernel or :func:`serial_lanes` in one place, from its kernel's
+predicate.
+
+Both paths produce **bit-identical final states and round counts**
+to ``B`` serial ``Engine`` runs: every lane derives its inputs, ports
+and crash plan from its own seed through the exact same
+:mod:`repro.sim.rng` child streams the serial builders use, so batching
+(and batch *order*) cannot perturb results.
 
 Composition: :func:`repro.workloads.run_dac_trial_batch` (and the
-DBAC/Byzantine forms ``run_dbac_trial_batch`` / ``run_byz_trial_batch``)
-wrap these kernels in the batched-trial calling convention the
-parallel layer dispatches, so ``Sweep.run(workers=N, batch=B)`` fans
-*batches* over processes -- the two layers multiply.
+DBAC/Byzantine/baseline forms) wrap these lanes in the batched-trial
+calling convention the parallel layer dispatches, so
+``Sweep.run(workers=N, batch=B)`` fans *batches* over processes -- the
+two layers multiply.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from repro.adversary.constrained import (
-    LastMinuteQuorumAdversary,
-    RotatingQuorumAdversary,
-    rotate_topology,
-)
-from repro.core.baselines import IteratedMidpointProcess, TrimmedMeanProcess
-from repro.core.phases import dac_end_phase
+from repro.adversary.constrained import rotate_topology
 from repro.net.ports import random_ports
 from repro.sim.arena import delivered_table
+from repro.sim.engine import Engine
 from repro.sim.rng import child_rng, spawn_inputs
 
 try:  # numpy is an optional extra (``pip install repro[numpy]``)
@@ -81,12 +73,10 @@ try:  # numpy is an optional extra (``pip install repro[numpy]``)
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
     _np = None
 
-_BACKENDS = ("auto", "numpy", "python")
-
-# Selectors whose link choices the vectorized kernel replicates. The
-# shared structure is :func:`repro.adversary.constrained.rotate_picks`;
+# Selectors whose link choices the DAC kernel replicates. The shared
+# structure is :func:`repro.adversary.constrained.rotate_picks`;
 # value-dependent ("nearest") and RNG-dependent ("random") selectors
-# fall back to the python backend.
+# run through serial_lanes.
 _VECTOR_SELECTORS = ("rotate",)
 
 # Sentinel crash round for nodes that never crash (far beyond any cap).
@@ -101,8 +91,28 @@ _STRUCTURE_CACHE_MAX = 4096
 
 
 def numpy_available() -> bool:
-    """Whether the vectorized numpy backend can be used at all."""
+    """Whether the vectorized numpy kernels can be used at all."""
     return _np is not None
+
+
+def _builders():
+    """:mod:`repro.workloads`, whose serial builders define every lane family.
+
+    Kernels probe the serial builder at setup -- validation, crash
+    schedule, quorum, end phase, default round cap -- so there is
+    exactly one source of truth for what a lane *is*, and the
+    bit-identity contract cannot drift out from under a builder change.
+    """
+    # lint: ignore[layering, hot-import] — setup-time probe of the serial builders (one source of truth for lane families), deferred to break the import cycle; never touched in the round loop
+    import repro.workloads
+
+    return repro.workloads
+
+
+def _refusal(kernel: str, what: str) -> ValueError:
+    """The error a kernel constructor raises on parameters it cannot run."""
+    reason = "numpy is not installed" if not numpy_available() else f"{what} is not vectorizable"
+    return ValueError(f"{kernel} cannot run these lanes: {reason}; use serial_lanes")
 
 
 @dataclass(frozen=True)
@@ -116,7 +126,7 @@ class LaneResult:
     holds exactly what :func:`repro.sim.runner.run_consensus` reports
     for the lane's stop mode -- the fault-free nodes that decided
     (``"output"`` stopping), or every fault-free node's current value
-    (``"oracle"`` stopping, :class:`ByzBatchEngine` only).
+    (``"oracle"`` stopping).
     """
 
     seed: int
@@ -127,8 +137,87 @@ class LaneResult:
     state_keys: dict[int, tuple]
 
 
+def serial_lanes(seeds: Sequence[int], build: Callable[..., dict]) -> list[LaneResult]:
+    """One serial :meth:`Engine.run <repro.sim.engine.Engine.run>` per seed.
+
+    The batch layer's path for every lane no kernel runs. ``build(seed=s)``
+    returns the :func:`repro.sim.runner.run_consensus` keyword dict of
+    one execution -- any family's ``build_*_execution`` with its
+    parameters bound, e.g. by :func:`functools.partial`. Each lane is
+    one untraced ``Engine.run(max_rounds, stop_when)`` under the
+    builder's stop mode, so it stops exactly where the serial trial
+    does. Results come back in ``seeds`` order.
+
+    >>> from functools import partial
+    >>> from repro.workloads import build_dac_execution
+    >>> lanes = serial_lanes([0, 1], partial(build_dac_execution, n=5, f=2))
+    >>> [(lane.seed, lane.stopped) for lane in lanes]
+    [(0, True), (1, True)]
+    """
+    lanes = []
+    for seed in seeds:
+        kwargs = build(seed=int(seed))
+        engine = Engine(
+            kwargs["processes"],
+            kwargs["adversary"],
+            kwargs["ports"],
+            fault_plan=kwargs["fault_plan"],
+            f=kwargs["f"],
+            seed=kwargs["seed"],
+            record_trace=False,
+        )
+        epsilon = kwargs.get("epsilon", 1e-3)
+        oracle = kwargs.get("stop_mode", "output") == "oracle"
+        if oracle:
+            stop = lambda eng: eng.fault_free_range() <= epsilon  # noqa: E731
+        else:
+            stop = Engine.all_fault_free_output
+        result = engine.run(kwargs["max_rounds"], stop_when=stop)
+        if oracle:
+            outputs = engine.fault_free_values()
+        else:
+            outputs = {
+                v: engine.processes[v].output()
+                for v in sorted(engine.fault_plan.fault_free)
+                if engine.processes[v].has_output()
+            }
+        lanes.append(
+            LaneResult(
+                seed=int(seed),
+                rounds=int(result),
+                stopped=result.stopped,
+                inputs={node: proc.input_value for node, proc in engine.processes.items()},
+                outputs=outputs,
+                state_keys={
+                    node: proc.state_key() for node, proc in engine.processes.items()
+                },
+            )
+        )
+    return lanes
+
+
+def _lane_tables(seeds: Sequence[int], n: int):
+    """Inputs and port tables of every lane, via the serial RNG streams.
+
+    ``(inputs (B, n), sender_at_port (B, n, n), self_port (B, n))`` --
+    the sender-major port inverse and self-ports are what the kernels
+    index by.
+    """
+    np = _np
+    lanes = len(seeds)
+    inputs = np.empty((lanes, n), dtype=np.float64)
+    sender_at_port = np.empty((lanes, n, n), dtype=np.intp)
+    self_port = np.empty((lanes, n), dtype=np.intp)
+    for b, seed in enumerate(seeds):
+        inputs[b] = spawn_inputs(seed, n)
+        ports = random_ports(n, child_rng(seed, "ports"))
+        sender_at_port[b] = ports.sender_rows()
+        self_port[b] = [ports.self_port(v) for v in range(n)]
+    return inputs, sender_at_port, self_port
+
+
 class BatchEngine:
-    """Runs ``B`` independent boundary-DAC executions in lock-step.
+    """Runs ``B`` independent boundary-DAC executions in one numpy kernel.
 
     Parameters mirror :func:`repro.workloads.build_dac_execution` --
     one shared parameter assignment, one seed per lane:
@@ -142,13 +231,10 @@ class BatchEngine:
         ports and RNG streams derive from its seed exactly as the
         serial builder's do.
     epsilon, window, selector, crash_nodes, crash_start, enable_jump:
-        As in ``build_dac_execution``.
+        As in ``build_dac_execution``. The kernel replicates the
+        ``rotate`` selector only (see :meth:`vectorizes`).
     max_rounds:
         Hard cap per lane; defaults to the serial builder's formula.
-    backend:
-        ``"auto"`` (numpy when available and the selector is
-        vectorizable, python otherwise), ``"numpy"`` (raise when
-        unusable), or ``"python"``.
     """
 
     def __init__(
@@ -164,20 +250,11 @@ class BatchEngine:
         crash_start: int = 1,
         enable_jump: bool = True,
         max_rounds: int | None = None,
-        backend: str = "auto",
     ) -> None:
         self.seeds = [int(seed) for seed in seeds]
         if not self.seeds:
             raise ValueError("need at least one seed (one lane)")
-        # Derive the lane family -- validation, crash schedule, quorum,
-        # end phase, default round cap -- from the serial builder itself,
-        # so there is exactly one source of truth for what a lane *is*
-        # and the bit-identity contract cannot drift out from under a
-        # builder change.
-        # lint: ignore[layering, hot-import] — setup-time probe of the serial builder (one source of truth for lane families), deferred to break the cycle; never touched in the round loop
-        from repro.workloads import build_dac_execution
-
-        probe = build_dac_execution(
+        probe = _builders().build_dac_execution(
             n=n,
             f=f,
             epsilon=epsilon,
@@ -189,14 +266,11 @@ class BatchEngine:
             enable_jump=enable_jump,
             max_rounds=max_rounds,
         )
+        if not self.vectorizes(selector):
+            raise _refusal("BatchEngine", f"selector {selector!r}")
         process = next(iter(probe["processes"].values()))
         self.n = n
-        self.f = f
-        self.epsilon = epsilon
         self.window = window
-        self.selector = selector
-        self.crash_nodes = f if crash_nodes is None else crash_nodes
-        self.crash_start = crash_start
         self.enable_jump = enable_jump
         self.degree = probe["adversary"].degree
         self.quorum = process.quorum
@@ -204,121 +278,19 @@ class BatchEngine:
         self.max_rounds = probe["max_rounds"]
         self._crashes = probe["fault_plan"].crashes
         self._fault_free = sorted(probe["fault_plan"].fault_free)
-        self.backend = self._resolve_backend(backend)
-        # Round structure (delivered-from matrices) memo for the numpy
-        # kernel: keyed by (live-set key, salt mod n), tiny and cyclic.
+        # Round structure (delivered-from matrices) memo: keyed by
+        # (live-set key, salt mod n), tiny and cyclic.
         self._structure_cache: dict[tuple, object] = {}
+
+    @staticmethod
+    def vectorizes(selector: str = "rotate") -> bool:
+        """Whether this kernel runs lanes with ``selector`` (numpy installed)."""
+        return numpy_available() and selector in _VECTOR_SELECTORS
 
     @property
     def batch_size(self) -> int:
         """Number of lanes ``B``."""
         return len(self.seeds)
-
-    def _resolve_backend(self, backend: str) -> str:
-        if backend not in _BACKENDS:
-            raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
-        vectorizable = numpy_available() and self.selector in _VECTOR_SELECTORS
-        if backend == "auto":
-            return "numpy" if vectorizable else "python"
-        if backend == "numpy" and not vectorizable:
-            reason = (
-                "numpy is not installed"
-                if not numpy_available()
-                else f"selector {self.selector!r} is not vectorizable "
-                f"(supported: {_VECTOR_SELECTORS})"
-            )
-            raise ValueError(f"numpy backend unavailable: {reason}")
-        return backend
-
-    def run(self) -> list[LaneResult]:
-        """Run every lane to its stop condition and return lane results.
-
-        Results come back in ``seeds`` order. Each lane stops exactly
-        like ``Engine.run(max_rounds, stop_when=all_fault_free_output)``
-        does: the stop condition is evaluated before each round and once
-        more at the cap, and the lane's state freezes at that point.
-        """
-        if self.backend == "numpy":
-            return self._run_numpy()
-        return self._run_python()
-
-    # -- python backend: lock-step over real engines --------------------
-
-    def _build_serial_engine(self, seed: int):
-        # Local imports: the runner/workloads layers import this module's
-        # package, so top-level imports here would be cyclic.
-        from repro.sim.engine import Engine
-
-        # lint: ignore[layering, hot-import] — python-backend fallback builds lanes through the serial builder (bit-identity reference), deferred to break the cycle
-        from repro.workloads import build_dac_execution
-
-        kwargs = build_dac_execution(
-            n=self.n,
-            f=self.f,
-            epsilon=self.epsilon,
-            seed=seed,
-            window=self.window,
-            selector=self.selector,
-            crash_nodes=self.crash_nodes,
-            crash_start=self.crash_start,
-            enable_jump=self.enable_jump,
-            max_rounds=self.max_rounds,
-        )
-        return Engine(
-            kwargs["processes"],
-            kwargs["adversary"],
-            kwargs["ports"],
-            fault_plan=kwargs["fault_plan"],
-            f=kwargs["f"],
-            seed=kwargs["seed"],
-            record_trace=False,
-        )
-
-    def _run_python(self) -> list[LaneResult]:
-        engines = [self._build_serial_engine(seed) for seed in self.seeds]
-        results: list[LaneResult | None] = [None] * len(engines)
-
-        def finalize(index: int, rounds: int, stopped: bool) -> None:
-            engine = engines[index]
-            plan = engine.fault_plan
-            outputs = {
-                v: engine.processes[v].output()
-                for v in sorted(plan.fault_free)
-                if engine.processes[v].has_output()
-            }
-            results[index] = LaneResult(
-                seed=self.seeds[index],
-                rounds=rounds,
-                stopped=stopped,
-                inputs={
-                    node: proc.input_value for node, proc in engine.processes.items()
-                },
-                outputs=outputs,
-                state_keys={
-                    node: proc.state_key() for node, proc in engine.processes.items()
-                },
-            )
-
-        active = list(range(len(engines)))
-        t = 0
-        while active:
-            # Same order as Engine.run: stop_when before each round,
-            # then the documented final check at the cap.
-            still = []
-            for index in active:
-                if engines[index].all_fault_free_output():
-                    finalize(index, t, True)
-                elif t >= self.max_rounds:
-                    finalize(index, t, False)
-                else:
-                    still.append(index)
-            for index in still:
-                engines[index].run_round()
-            active = still
-            t += 1
-        return [result for result in results if result is not None]
-
-    # -- numpy backend: vectorized port-major kernel ---------------------
 
     def _delivered_from(self, live_key: tuple[int, ...], salt: int):
         """``(n, n)`` bool: does ``u``'s round broadcast reach ``v``?
@@ -351,23 +323,18 @@ class BatchEngine:
             cached = delivered
         return cached
 
-    def _run_numpy(self) -> list[LaneResult]:
+    def run(self) -> list[LaneResult]:
+        """Run every lane to its stop condition and return lane results.
+
+        Results come back in ``seeds`` order. Each lane stops exactly
+        like ``Engine.run(max_rounds, stop_when=all_fault_free_output)``
+        does: the stop condition is evaluated before each round and once
+        more at the cap, and the lane's state freezes at that point.
+        """
         np = _np
         n = self.n
         lanes = len(self.seeds)
-
-        # Per-lane construction through the serial builders' exact RNG
-        # streams: inputs, port bijections (sender-major inverse and
-        # self-ports are what the kernel indexes by).
-        inputs = np.empty((lanes, n), dtype=np.float64)
-        sender_at_port = np.empty((lanes, n, n), dtype=np.intp)
-        self_port = np.empty((lanes, n), dtype=np.intp)
-        for b, seed in enumerate(self.seeds):
-            inputs[b] = spawn_inputs(seed, n)
-            ports = random_ports(n, child_rng(seed, "ports"))
-            sender_at_port[b] = ports.sender_rows()
-            for v in range(n):
-                self_port[b, v] = ports.self_port(v)
+        inputs, sender_at_port, self_port = _lane_tables(self.seeds, n)
 
         crash_round = np.full(n, _NEVER, dtype=np.int64)
         for node, event in self._crashes.items():
@@ -526,7 +493,6 @@ def run_dac_batch(
     crash_start: int = 1,
     enable_jump: bool = True,
     max_rounds: int | None = None,
-    backend: str = "auto",
     on_lane: Callable[[LaneResult], None] | None = None,
 ) -> list[LaneResult]:
     """Run one batch of boundary DAC executions, one lane per seed.
@@ -537,9 +503,11 @@ def run_dac_batch(
     :func:`repro.obs.attach.lane_finished` plugs into for per-lane
     ``RunFinished`` events.
 
-    >>> lanes = run_dac_batch(5, 2, [0, 1], backend="python")
-    >>> [(lane.seed, lane.stopped) for lane in lanes]
-    [(0, True), (1, True)]
+    >>> from functools import partial
+    >>> from repro.workloads import build_dac_execution
+    >>> serial = serial_lanes([0, 1], partial(build_dac_execution, n=5, f=2))
+    >>> not numpy_available() or run_dac_batch(5, 2, [0, 1]) == serial
+    True
     """
     lanes = BatchEngine(
         n,
@@ -552,7 +520,6 @@ def run_dac_batch(
         crash_start=crash_start,
         enable_jump=enable_jump,
         max_rounds=max_rounds,
-        backend=backend,
     ).run()
     if on_lane is not None:
         for lane in lanes:
@@ -562,11 +529,11 @@ def run_dac_batch(
 
 # -- Batched DBAC / Byzantine / mobile-omission lanes ----------------------
 
-# Selectors the ByzBatchEngine numpy kernel replicates. ``nearest`` is
+# Selectors the ByzBatchEngine kernel replicates. ``nearest`` is
 # value-dependent: the kernel recomputes the serial two-pointer
 # selection (repro.adversary.constrained.nearest_picks) as one stable
 # argsort over each lane's value matrix per round. ``random`` draws
-# from the adversary's RNG stream and falls back to the python backend.
+# from the adversary's RNG stream and runs through serial_lanes.
 _BYZ_VECTOR_SELECTORS = ("rotate", "nearest")
 
 _STOP_MODES = ("oracle", "output")
@@ -580,9 +547,9 @@ def _strategy_vector_plan(strategy: object, n: int):
     tracks the maximum fault-free phase (with a fixed lead). Returns
     ``(value_row, phase_kind, phase_arg)`` with ``phase_kind`` in
     ``{"track", "const"}``, or ``None`` when the strategy cannot be
-    vectorized (e.g. the RNG-driven ``random`` strategy) and the lanes
-    must run on the python backend. Exact types are matched so
-    subclasses with overridden behavior are never mis-vectorized.
+    vectorized (e.g. the RNG-driven ``random`` strategy). Exact types
+    are matched so subclasses with overridden behavior are never
+    mis-vectorized.
     """
     from repro.faults.byzantine import (
         ExtremeByzantine,
@@ -645,7 +612,7 @@ def nearest_delivered(values, byz, byz_chosen: int, remaining: int):
 
 
 class ByzBatchEngine:
-    """Runs ``B`` independent DBAC / Byzantine / mobile lanes in lock-step.
+    """Runs ``B`` independent DBAC / Byzantine / mobile lanes in one kernel.
 
     The Byzantine counterpart of :class:`BatchEngine`: one shared
     parameter assignment, one seed per lane, lane families exactly as
@@ -672,26 +639,10 @@ class ByzBatchEngine:
         As in :func:`repro.workloads.run_dbac_trial` /
         ``run_byz_trial`` (``stop_mode="oracle"`` stops a lane when
         the fault-free spread first dips to ``epsilon``;
-        ``"output"`` waits for algorithm-local termination).
-    backend:
-        ``"auto"`` / ``"numpy"`` / ``"python"`` as in
-        :class:`BatchEngine`. The numpy kernel requires a vectorizable
-        selector (``rotate``/``nearest``) and, for quorum lanes, a
-        vectorizable Byzantine strategy (``extreme``, ``pin-high``,
-        ``pin-low``, ``phase-liar``); ``random`` selector/strategy
-        lanes fall back to the python backend.
-    width:
-        Maximum concurrent vector lanes. ``None`` (default) runs all
-        seeds at once. With ``width=W < len(seeds)`` the numpy kernel
-        processes the seed list through ``W`` rows.
-    compact:
-        Lane compaction (numpy backend, only observable when ``width``
-        caps the row count): ``True`` re-fills each finished row from
-        the pending seed queue immediately, keeping the vector width
-        full through long-tailed grids; ``False`` drains each
-        ``width``-sized chunk completely before starting the next.
-        Purely a speed/scheduling knob -- lanes are fully independent,
-        so results are bit-identical either way (pinned in tests).
+        ``"output"`` waits for algorithm-local termination). Quorum
+        lanes need a vectorizable selector (``rotate``/``nearest``) and
+        Byzantine strategy (``extreme``, ``pin-high``, ``pin-low``,
+        ``phase-liar``); see :meth:`vectorizes`.
     """
 
     def __init__(
@@ -707,220 +658,89 @@ class ByzBatchEngine:
         adversary: str = "quorum",
         stop_mode: str = "oracle",
         max_rounds: int = 50_000,
-        backend: str = "auto",
-        width: int | None = None,
-        compact: bool = True,
     ) -> None:
         self.seeds = [int(seed) for seed in seeds]
         if not self.seeds:
             raise ValueError("need at least one seed (one lane)")
         if stop_mode not in _STOP_MODES:
             raise ValueError(f"stop_mode must be one of {_STOP_MODES}, got {stop_mode!r}")
-        if width is not None and width < 1:
-            raise ValueError(f"width must be >= 1 (or None), got {width}")
         self.n = n
         self.epsilon = float(epsilon)
         self.window = int(window)
         self.selector = selector
-        self.strategy = strategy
-        self.adversary = adversary
         self.stop_mode = stop_mode
         self.max_rounds = int(max_rounds)
-        self.width = width
-        self.compact = bool(compact)
+        workloads = _builders()
         if adversary == "quorum":
-            self.family = "quorum"
-            self.mode = None
-            self.f = (n - 1) // 5 if f is None else f
-            probe = self._build_quorum_kwargs(self.seeds[0])
-            process = next(iter(probe["processes"].values()))
-            self.quorum = process.quorum
-            self.end_phase = process.end_phase
-            self.trim = process.trim
-            self.degree = probe["adversary"].degree
-            plan = probe["fault_plan"]
-            self._byz_nodes = tuple(sorted(plan.byzantine))
-            self._fault_free = tuple(sorted(plan.fault_free))
-            self._byz_strategies = [plan.byzantine[u] for u in self._byz_nodes]
-        elif adversary.startswith("mobile-"):
-            from repro.adversary.mobile import MOBILE_MODES
-
-            mode = adversary[len("mobile-") :]
-            if mode not in MOBILE_MODES:
-                raise ValueError(
-                    f"unknown mobile mode {mode!r}; known: {MOBILE_MODES}"
-                )
-            if f not in (None, 0):
-                raise ValueError(f"mobile-omission lanes are fault-free, got f={f}")
-            from repro.core.dac import DACProcess
-
-            self.family = "mobile"
-            self.mode = mode
-            self.f = 0
-            probe_process = DACProcess(n, 0, 0.0, 0, epsilon=self.epsilon)
-            self.quorum = probe_process.quorum
-            self.end_phase = probe_process.end_phase
-            self.trim = 0
-            self.degree = 0
-            self._byz_nodes = ()
-            self._fault_free = tuple(range(n))
-            self._byz_strategies = []
-        else:
-            raise ValueError(
-                f"unknown adversary {adversary!r}; use 'quorum' or 'mobile-<mode>'"
+            # Validates n >= 5f+1, the selector and the strategy name.
+            probe = workloads.build_dbac_trial_execution(
+                n=n,
+                f=f,
+                epsilon=self.epsilon,
+                seed=self.seeds[0],
+                window=self.window,
+                selector=selector,
+                strategy=strategy,
+                stop_mode=stop_mode,
+                max_rounds=self.max_rounds,
             )
-        self.backend = self._resolve_backend(backend)
+            self.mode = None
+        else:
+            # Validates the adversary name, f in (None, 0) and the mode.
+            self.mode = workloads._mobile_mode(adversary, f)
+            probe = workloads.build_mobile_execution(
+                n=n,
+                mode=self.mode,
+                epsilon=self.epsilon,
+                seed=self.seeds[0],
+                stop_mode=stop_mode,
+                max_rounds=self.max_rounds,
+            )
+        if not self.vectorizes(adversary, selector, strategy):
+            raise _refusal(
+                "ByzBatchEngine", f"selector {selector!r} with strategy {strategy!r}"
+            )
+        process = next(iter(probe["processes"].values()))
+        plan = probe["fault_plan"]
+        # Mobile lanes run plain DAC on the complete graph: no trimming
+        # and no enforced degree.
+        self.trim = process.trim if self.mode is None else 0
+        self.degree = probe["adversary"].degree if self.mode is None else 0
+        self.quorum = process.quorum
+        self.end_phase = process.end_phase
+        self._byz_nodes = tuple(sorted(plan.byzantine))
+        self._fault_free = tuple(sorted(plan.fault_free))
+        self._byz_strategies = [plan.byzantine[u] for u in self._byz_nodes]
         # salt -> receiver-major delivered-from matrix for the rotate
         # selector (cyclic in salt mod n once built).
         self._rotate_cache: dict[int, object] = {}
 
+    @staticmethod
+    def vectorizes(
+        adversary: str = "quorum", selector: str = "nearest", strategy: str = "extreme"
+    ) -> bool:
+        """Whether this kernel runs these lanes (numpy installed).
+
+        Mobile-omission lanes always vectorize; quorum lanes need a
+        selector in ``rotate``/``nearest`` and a Byzantine strategy
+        whose messages :func:`_strategy_vector_plan` can reproduce
+        (the RNG-driven ``random`` selector and strategy cannot be).
+        """
+        if not numpy_available():
+            return False
+        if adversary != "quorum":
+            return True
+        factory = _builders().TRIAL_BYZANTINE_STRATEGIES.get(strategy)
+        return (
+            selector in _BYZ_VECTOR_SELECTORS
+            and factory is not None
+            and _strategy_vector_plan(factory(), 1) is not None
+        )
+
     @property
     def batch_size(self) -> int:
-        """Number of lanes (seeds); the vector width is ``min(width, B)``."""
+        """Number of lanes ``B``."""
         return len(self.seeds)
-
-    # -- configuration -------------------------------------------------
-
-    def _build_quorum_kwargs(self, seed: int) -> dict:
-        # Derive the lane family from the serial builder itself (one
-        # source of truth, like BatchEngine does for DAC): validates
-        # n >= 5f+1, the selector and the strategy name as a side
-        # effect.
-        # lint: ignore[layering, hot-import] — setup-time probe of the serial builder (one source of truth for lane families), deferred to break the cycle; never touched in the round loop
-        from repro.workloads import TRIAL_BYZANTINE_STRATEGIES, build_dbac_execution
-
-        if self.strategy not in TRIAL_BYZANTINE_STRATEGIES:
-            raise ValueError(
-                f"unknown strategy {self.strategy!r}; "
-                f"known: {sorted(TRIAL_BYZANTINE_STRATEGIES)}"
-            )
-        factory = TRIAL_BYZANTINE_STRATEGIES[self.strategy]
-        return build_dbac_execution(
-            n=self.n,
-            f=self.f,
-            epsilon=self.epsilon,
-            seed=seed,
-            window=self.window,
-            selector=self.selector,
-            byzantine_factory=lambda node: factory(),
-            stop_mode=self.stop_mode,
-            max_rounds=self.max_rounds,
-        )
-
-    def _resolve_backend(self, backend: str) -> str:
-        if backend not in _BACKENDS:
-            raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
-        reason = None
-        if not numpy_available():
-            reason = "numpy is not installed"
-        elif self.family == "quorum":
-            if self.selector not in _BYZ_VECTOR_SELECTORS:
-                reason = (
-                    f"selector {self.selector!r} is not vectorizable "
-                    f"(supported: {_BYZ_VECTOR_SELECTORS})"
-                )
-            elif any(
-                _strategy_vector_plan(strategy, self.n) is None
-                for strategy in self._byz_strategies
-            ):
-                reason = (
-                    f"Byzantine strategy {self.strategy!r} is not vectorizable "
-                    "(RNG- or state-dependent messages)"
-                )
-        if backend == "auto":
-            return "python" if reason else "numpy"
-        if backend == "numpy" and reason:
-            raise ValueError(f"numpy backend unavailable: {reason}")
-        return backend
-
-    # -- python backend: lock-step over real engines -------------------
-
-    def _build_serial_engine(self, seed: int):
-        from repro.sim.engine import Engine
-
-        if self.family == "quorum":
-            kwargs = self._build_quorum_kwargs(seed)
-            return Engine(
-                kwargs["processes"],
-                kwargs["adversary"],
-                kwargs["ports"],
-                fault_plan=kwargs["fault_plan"],
-                f=kwargs["f"],
-                seed=kwargs["seed"],
-                record_trace=False,
-            )
-        from repro.adversary.mobile import MobileOmissionAdversary
-        from repro.core.dac import DACProcess
-        from repro.faults.base import FaultPlan
-
-        inputs = spawn_inputs(seed, self.n)
-        ports = random_ports(self.n, child_rng(seed, "ports"))
-        processes = {
-            node: DACProcess(
-                self.n, 0, inputs[node], ports.self_port(node), epsilon=self.epsilon
-            )
-            for node in range(self.n)
-        }
-        return Engine(
-            processes,
-            MobileOmissionAdversary(self.mode),
-            ports,
-            fault_plan=FaultPlan.fault_free_plan(self.n),
-            f=0,
-            seed=seed,
-            record_trace=False,
-        )
-
-    def _stop_holds(self, engine) -> bool:
-        if self.stop_mode == "output":
-            return engine.all_fault_free_output()
-        return engine.fault_free_range() <= self.epsilon
-
-    def _finalize_engine(self, engine, seed: int, rounds: int, stopped: bool) -> LaneResult:
-        plan = engine.fault_plan
-        if self.stop_mode == "output":
-            outputs = {
-                v: engine.processes[v].output()
-                for v in sorted(plan.fault_free)
-                if engine.processes[v].has_output()
-            }
-        else:
-            outputs = engine.fault_free_values()
-        return LaneResult(
-            seed=seed,
-            rounds=rounds,
-            stopped=stopped,
-            inputs={node: proc.input_value for node, proc in engine.processes.items()},
-            outputs=outputs,
-            state_keys={
-                node: proc.state_key() for node, proc in engine.processes.items()
-            },
-        )
-
-    def _run_python(self) -> list[LaneResult]:
-        engines = [self._build_serial_engine(seed) for seed in self.seeds]
-        results: list[LaneResult | None] = [None] * len(engines)
-        active = list(range(len(engines)))
-        t = 0
-        while active:
-            # Same order as Engine.run: stop_when before each round,
-            # then the documented final check at the cap.
-            still = []
-            for index in active:
-                holds = self._stop_holds(engines[index])
-                if holds or t >= self.max_rounds:
-                    results[index] = self._finalize_engine(
-                        engines[index], self.seeds[index], t, holds
-                    )
-                else:
-                    still.append(index)
-            for index in still:
-                engines[index].run_round()
-            active = still
-            t += 1
-        return [result for result in results if result is not None]
-
-    # -- numpy backend: vectorized kernels with lane compaction --------
 
     def run(self) -> list[LaneResult]:
         """Run every lane to its stop condition; results in seed order.
@@ -930,62 +750,9 @@ class ByzBatchEngine:
         mode: the condition is evaluated before each round and once
         more at the cap.
         """
-        if self.backend == "python":
-            return self._run_python()
-        results: list[LaneResult | None] = [None] * len(self.seeds)
-        pending: deque[tuple[int, int]] = deque(enumerate(self.seeds))
-        width = len(self.seeds) if self.width is None else min(self.width, len(self.seeds))
-        kernel = self._kernel_quorum if self.family == "quorum" else self._kernel_mobile
-        if self.compact:
-            first = [pending.popleft() for _ in range(width)]
-            kernel(first, pending, results)
-        else:
-            while pending:
-                chunk = [
-                    pending.popleft() for _ in range(min(width, len(pending)))
-                ]
-                kernel(chunk, None, results)
-        return [result for result in results if result is not None]
-
-    def _lane_tables(self, seed: int):
-        """Inputs and port tables for one lane, via the serial RNG streams."""
-        n = self.n
-        inputs = spawn_inputs(seed, n)
-        ports = random_ports(n, child_rng(seed, "ports"))
-        sender_at_port = ports.sender_rows()
-        self_port = [ports.self_port(v) for v in range(n)]
-        return inputs, sender_at_port, self_port
-
-    def _drain_and_refill(
-        self, cond_fn, lane_active, lane_t, finalize_row, reset_row, pending
-    ) -> None:
-        """Stop handling shared by both kernels, in ``Engine.run`` order
-        (condition first, cap second), then compaction: freed rows
-        immediately restart on queued seeds, and freshly refilled rows
-        are re-checked -- a refilled lane may satisfy its stop
-        condition at round zero, exactly like a serial run of zero
-        rounds.
-
-        ``cond_fn`` returns the per-lane stop-condition bools against
-        the kernel's *current* state arrays; ``finalize_row`` /
-        ``reset_row`` are the kernel's closures over them.
-        """
-        np = _np
-        while True:
-            cond = cond_fn()
-            done = lane_active & (cond | (lane_t >= self.max_rounds))
-            done_rows = np.nonzero(done)[0]
-            if done_rows.size == 0:
-                return
-            for b in done_rows:
-                finalize_row(int(b), bool(cond[b]))
-            if not pending:
-                return
-            for b in done_rows:
-                if not pending:
-                    break
-                result_slot, seed = pending.popleft()
-                reset_row(int(b), result_slot, seed)
+        if self.mode is None:
+            return self._kernel_quorum()
+        return self._kernel_mobile()
 
     def _scatter_messages(
         self, buffers: dict, lanes: int, deliver_rows, has_msg_d, msg_value_d, msg_phase_d
@@ -993,11 +760,12 @@ class ByzBatchEngine:
         """Full-width ``(B, n, n)`` views of one round's message arrays.
 
         When every lane delivers this round the per-row arrays already
-        are full width; otherwise the delivering rows are scattered
-        into partial-width buffers cached in ``buffers`` (one dict per
-        kernel run, allocated lazily on the first partial round).
-        Stale rows from earlier rounds are never cleared -- the
-        per-round receiving mask filters them before any read.
+        are full width; otherwise (some lanes have stopped) the
+        delivering rows are scattered into partial-width buffers cached
+        in ``buffers`` (one dict per kernel run, allocated lazily on the
+        first partial round). Stale rows from earlier rounds are never
+        cleared -- the per-round receiving mask filters them before any
+        read.
         """
         if deliver_rows.size == lanes:
             return has_msg_d, msg_value_d, msg_phase_d
@@ -1034,9 +802,8 @@ class ByzBatchEngine:
             self._rotate_cache[key] = cached
         return cached
 
-    def _kernel_quorum(self, rows, pending, results) -> None:
-        """Advance DBAC lanes in lock-step until all rows (and, with a
-        ``pending`` queue, all queued refills) are finalized.
+    def _kernel_quorum(self) -> list[LaneResult]:
+        """Advance DBAC lanes in lock-step until every lane is finalized.
 
         Port-major like the DAC kernel: deliveries are consumed sorted
         by port, so processing port ``k`` across every (lane, node)
@@ -1066,7 +833,7 @@ class ByzBatchEngine:
         quorum = self.quorum
         end_phase = self.end_phase
         window = self.window
-        lanes = len(rows)
+        lanes = len(self.seeds)
         node_idx = np.arange(n)
 
         byz = np.array(self._byz_nodes, dtype=np.intp)
@@ -1084,7 +851,7 @@ class ByzBatchEngine:
         byz_const = np.zeros(n, dtype=np.int64)
         for node, strategy in zip(self._byz_nodes, self._byz_strategies):
             plan = _strategy_vector_plan(strategy, n)
-            assert plan is not None  # guaranteed by backend resolution
+            assert plan is not None  # guaranteed by the vectorizes() check
             row, phase_kind, phase_arg = plan
             byz_value[node] = row
             if phase_kind == "track":
@@ -1099,48 +866,25 @@ class ByzBatchEngine:
         byz_chosen = min(byz.size, self.degree)
         remaining = max(0, min(self.degree - byz_chosen, ff.size - 1))
 
-        slot = np.zeros(lanes, dtype=np.intp)
-        lane_seed = [0] * lanes
-        inputs = np.empty((lanes, n), dtype=np.float64)
-        sender_at_port = np.empty((lanes, n, n), dtype=np.intp)
-        self_port = np.empty((lanes, n), dtype=np.intp)
-        value = np.empty((lanes, n), dtype=np.float64)
+        inputs, sender_at_port, self_port = _lane_tables(self.seeds, n)
+        value = inputs.copy()
         phase = np.zeros((lanes, n), dtype=np.int64)
         received = np.zeros((lanes, n, n), dtype=bool)
+        received[np.arange(lanes)[:, None], node_idx[None, :], self_port] = True
         count = np.ones((lanes, n), dtype=np.int64)
         # Per-phase stored values in witness-counter order; slot i holds
         # the (i+1)-th stored value of the current phase (slot 0 is the
         # phase-start self value). count <= quorum always: the quorum
         # fires, and resets the counter, on the accept that reaches it.
         stored = np.zeros((lanes, n, quorum), dtype=np.float64)
-        out_mask = np.zeros((lanes, n), dtype=bool)
-        out_val = np.zeros((lanes, n), dtype=np.float64)
-        lane_t = np.zeros(lanes, dtype=np.int64)
-        lane_active = np.zeros(lanes, dtype=bool)
+        stored[:, :, 0] = value
+        # init-time _check_output: with end_phase 0 every node decides at once
+        out_mask = np.full((lanes, n), end_phase == 0)
+        out_val = np.where(out_mask, value, 0.0)
+        lane_active = np.ones(lanes, dtype=bool)
+        results: list[LaneResult | None] = [None] * lanes
 
-        def reset_row(b: int, result_slot: int, seed: int) -> None:
-            lane_inputs, lane_sap, lane_self = self._lane_tables(seed)
-            slot[b] = result_slot
-            lane_seed[b] = seed
-            inputs[b] = lane_inputs
-            sender_at_port[b] = lane_sap
-            self_port[b] = lane_self
-            value[b] = inputs[b]
-            phase[b] = 0
-            received[b] = False
-            received[b, node_idx, self_port[b]] = True
-            count[b] = 1
-            stored[b, :, 0] = value[b]
-            if end_phase == 0:  # init-time _check_output: decide at once
-                out_mask[b] = True
-                out_val[b] = value[b]
-            else:
-                out_mask[b] = False
-                out_val[b] = 0.0
-            lane_t[b] = 0
-            lane_active[b] = True
-
-        def finalize_row(b: int, stopped: bool) -> None:
+        def finalize_row(b: int, rounds: int, stopped: bool) -> None:
             state_keys = {}
             for node in self._fault_free:
                 # Reconstruct the exact R_low / R_high lists from the
@@ -1168,15 +912,14 @@ class ByzBatchEngine:
                 }
             else:
                 outputs = {int(node): float(value[b, node]) for node in ff}
-            results[slot[b]] = LaneResult(
-                seed=lane_seed[b],
-                rounds=int(lane_t[b]),
+            results[b] = LaneResult(
+                seed=self.seeds[b],
+                rounds=rounds,
                 stopped=stopped,
                 inputs={int(node): float(inputs[b, node]) for node in ff},
                 outputs=outputs,
                 state_keys=state_keys,
             )
-            lane_active[b] = False
 
         def stop_condition():
             if self.stop_mode == "output":
@@ -1184,25 +927,20 @@ class ByzBatchEngine:
             ff_values = value[:, ff]
             return (ff_values.max(axis=1) - ff_values.min(axis=1)) <= self.epsilon
 
-        for b, (result_slot, seed) in enumerate(rows):
-            reset_row(b, result_slot, seed)
-
         scatter_buffers: dict = {}
-
+        t = 0
         while True:
-            self._drain_and_refill(
-                stop_condition, lane_active, lane_t, finalize_row, reset_row, pending
-            )
+            # Stop handling in Engine.run order: condition first, cap second.
+            cond = stop_condition()
+            done = lane_active & (cond | (t >= self.max_rounds))
+            for b in np.nonzero(done)[0]:
+                finalize_row(int(b), t, bool(cond[b]))
+            lane_active &= ~done
             if not lane_active.any():
-                return
+                return [result for result in results if result is not None]
 
-            delivering = (
-                lane_active
-                if window == 1
-                else lane_active & ((lane_t + 1) % window == 0)
-            )
-            if delivering.any():
-                deliver_rows = np.nonzero(delivering)[0]
+            if window == 1 or (t + 1) % window == 0:
+                deliver_rows = np.nonzero(lane_active)[0]
                 # Round-start broadcast snapshot -- what the adversary
                 # and the Byzantine strategies see, and what honest
                 # senders transmit this round.
@@ -1216,9 +954,9 @@ class ByzBatchEngine:
                         bc_value[deliver_rows], byz, byz_chosen, remaining
                     )
                 else:  # rotate
-                    salts = lane_t[deliver_rows] if window == 1 else lane_t[deliver_rows] // window
-                    delivered_recv = np.stack(
-                        [self._rotate_matrix(int(salt)) for salt in salts]
+                    salt = t if window == 1 else t // window
+                    delivered_recv = np.broadcast_to(
+                        self._rotate_matrix(salt), (deliver_rows.size, n, n)
                     )
                 has_msg_d = np.take_along_axis(delivered_recv, sap_d, axis=2)
 
@@ -1241,7 +979,7 @@ class ByzBatchEngine:
                     has_msg_d, msg_value_d, msg_phase_d,
                 )
 
-                receiving = delivering[:, None] & honest[None, :]
+                receiving = lane_active[:, None] & honest[None, :]
                 for port in range(n):
                     candidate = has_msg[:, :, port] & receiving
                     if not candidate.any():
@@ -1291,10 +1029,10 @@ class ByzBatchEngine:
                             out_val = np.where(decided, value, out_val)
             # Silent window rounds change no state: the only delivery
             # is each node's own message, whose port is already marked.
-            lane_t = np.where(lane_active, lane_t + 1, lane_t)
+            t += 1
 
-    def _kernel_mobile(self, rows, pending, results) -> None:
-        """Advance mobile-omission DAC lanes in lock-step (with refill).
+    def _kernel_mobile(self) -> list[LaneResult]:
+        """Advance mobile-omission DAC lanes in lock-step.
 
         DAC's jump/quorum update rule (mirroring
         :class:`BatchEngine`'s kernel) under per-lane delivered-from
@@ -1308,50 +1046,24 @@ class ByzBatchEngine:
         quorum = self.quorum
         end_phase = self.end_phase
         mode = self.mode
-        lanes = len(rows)
+        lanes = len(self.seeds)
         node_idx = np.arange(n)
 
-        slot = np.zeros(lanes, dtype=np.intp)
-        lane_seed = [0] * lanes
-        inputs = np.empty((lanes, n), dtype=np.float64)
-        sender_at_port = np.empty((lanes, n, n), dtype=np.intp)
-        self_port = np.empty((lanes, n), dtype=np.intp)
-        value = np.empty((lanes, n), dtype=np.float64)
+        inputs, sender_at_port, self_port = _lane_tables(self.seeds, n)
+        value = inputs.copy()
+        v_min = value.copy()
+        v_max = value.copy()
         phase = np.zeros((lanes, n), dtype=np.int64)
-        v_min = np.empty((lanes, n), dtype=np.float64)
-        v_max = np.empty((lanes, n), dtype=np.float64)
         received = np.zeros((lanes, n, n), dtype=bool)
+        received[np.arange(lanes)[:, None], node_idx[None, :], self_port] = True
         count = np.ones((lanes, n), dtype=np.int64)
-        out_mask = np.zeros((lanes, n), dtype=bool)
-        out_val = np.zeros((lanes, n), dtype=np.float64)
-        lane_t = np.zeros(lanes, dtype=np.int64)
-        lane_active = np.zeros(lanes, dtype=bool)
+        out_mask = np.full((lanes, n), end_phase == 0)
+        out_val = np.where(out_mask, value, 0.0)
+        lane_active = np.ones(lanes, dtype=bool)
         complete = ~np.eye(n, dtype=bool)  # receiver-major, no self loop
+        results: list[LaneResult | None] = [None] * lanes
 
-        def reset_row(b: int, result_slot: int, seed: int) -> None:
-            lane_inputs, lane_sap, lane_self = self._lane_tables(seed)
-            slot[b] = result_slot
-            lane_seed[b] = seed
-            inputs[b] = lane_inputs
-            sender_at_port[b] = lane_sap
-            self_port[b] = lane_self
-            value[b] = inputs[b]
-            v_min[b] = value[b]
-            v_max[b] = value[b]
-            phase[b] = 0
-            received[b] = False
-            received[b, node_idx, self_port[b]] = True
-            count[b] = 1
-            if end_phase == 0:
-                out_mask[b] = True
-                out_val[b] = value[b]
-            else:
-                out_mask[b] = False
-                out_val[b] = 0.0
-            lane_t[b] = 0
-            lane_active[b] = True
-
-        def finalize_row(b: int, stopped: bool) -> None:
+        def finalize_row(b: int, rounds: int, stopped: bool) -> None:
             state_keys = {}
             for node in range(n):
                 decided = bool(out_mask[b, node])
@@ -1371,43 +1083,40 @@ class ByzBatchEngine:
                 }
             else:
                 outputs = {int(node): float(value[b, node]) for node in range(n)}
-            results[slot[b]] = LaneResult(
-                seed=lane_seed[b],
-                rounds=int(lane_t[b]),
+            results[b] = LaneResult(
+                seed=self.seeds[b],
+                rounds=rounds,
                 stopped=stopped,
                 inputs={int(node): float(inputs[b, node]) for node in range(n)},
                 outputs=outputs,
                 state_keys=state_keys,
             )
-            lane_active[b] = False
 
         def stop_condition():
             if self.stop_mode == "output":
                 return out_mask.all(axis=1)
             return (value.max(axis=1) - value.min(axis=1)) <= self.epsilon
 
-        for b, (result_slot, seed) in enumerate(rows):
-            reset_row(b, result_slot, seed)
-
         scatter_buffers: dict = {}
-
+        t = 0
         while True:
-            self._drain_and_refill(
-                stop_condition, lane_active, lane_t, finalize_row, reset_row, pending
-            )
+            cond = stop_condition()
+            done = lane_active & (cond | (t >= self.max_rounds))
+            for b in np.nonzero(done)[0]:
+                finalize_row(int(b), t, bool(cond[b]))
+            lane_active &= ~done
             if not lane_active.any():
-                return
+                return [result for result in results if result is not None]
 
             deliver_rows = np.nonzero(lane_active)[0]
+            rows = deliver_rows.size
             bc_value = value.copy()
             bc_phase = phase.copy()
             sap_d = sender_at_port[deliver_rows]
 
-            delivered_recv = np.broadcast_to(
-                complete, (deliver_rows.size, n, n)
-            ).copy()
+            delivered_recv = np.broadcast_to(complete, (rows, n, n)).copy()
             if mode == "rotate":
-                victim = (node_idx[None, :] + lane_t[deliver_rows][:, None]) % n
+                victim = np.broadcast_to((node_idx + t) % n, (rows, n))
                 cut = victim != node_idx[None, :]
                 delivered_recv[
                     np.nonzero(cut)[0], np.nonzero(cut)[1], victim[cut]
@@ -1417,14 +1126,14 @@ class ByzBatchEngine:
                 pick = np.argmin if mode == "block_min" else np.argmax
                 first = pick(lane_values, axis=1)
                 masked = lane_values.copy()
-                masked[np.arange(deliver_rows.size), first] = (
+                masked[np.arange(rows), first] = (
                     np.inf if mode == "block_min" else -np.inf
                 )
                 second = pick(masked, axis=1)
-                victim = np.broadcast_to(first[:, None], (deliver_rows.size, n)).copy()
-                victim[np.arange(deliver_rows.size), first] = second
+                victim = np.broadcast_to(first[:, None], (rows, n)).copy()
+                victim[np.arange(rows), first] = second
                 delivered_recv[
-                    np.arange(deliver_rows.size)[:, None],
+                    np.arange(rows)[:, None],
                     node_idx[None, :],
                     victim,
                 ] = False
@@ -1488,7 +1197,7 @@ class ByzBatchEngine:
                             phase = np.where(decided, end_phase, phase)
                             out_mask |= decided
                             out_val = np.where(decided, value, out_val)
-            lane_t = np.where(lane_active, lane_t + 1, lane_t)
+            t += 1
 
 
 def run_byz_batch(
@@ -1503,9 +1212,6 @@ def run_byz_batch(
     adversary: str = "quorum",
     stop_mode: str = "oracle",
     max_rounds: int = 50_000,
-    backend: str = "auto",
-    width: int | None = None,
-    compact: bool = True,
     on_lane: Callable[[LaneResult], None] | None = None,
 ) -> list[LaneResult]:
     """Run one batch of Byzantine-or-mobile executions, one lane per seed.
@@ -1515,9 +1221,11 @@ def run_byz_batch(
     is called once per finished lane, in lane (seed) order (see
     :func:`run_dac_batch`).
 
-    >>> lanes = run_byz_batch(6, 1, [0, 1], backend="python")
-    >>> [lane.stopped for lane in lanes]
-    [True, True]
+    >>> from functools import partial
+    >>> from repro.workloads import build_mobile_execution
+    >>> serial = serial_lanes([0, 1], partial(build_mobile_execution, n=6, mode="rotate"))
+    >>> not numpy_available() or run_byz_batch(6, None, [0, 1], adversary="mobile-rotate") == serial
+    True
     """
     lanes = ByzBatchEngine(
         n,
@@ -1530,9 +1238,6 @@ def run_byz_batch(
         adversary=adversary,
         stop_mode=stop_mode,
         max_rounds=max_rounds,
-        backend=backend,
-        width=width,
-        compact=compact,
     ).run()
     if on_lane is not None:
         for lane in lanes:
@@ -1551,9 +1256,6 @@ def run_dbac_batch(
     strategy: str = "extreme",
     stop_mode: str = "oracle",
     max_rounds: int = 50_000,
-    backend: str = "auto",
-    width: int | None = None,
-    compact: bool = True,
     on_lane: Callable[[LaneResult], None] | None = None,
 ) -> list[LaneResult]:
     """Run one batch of boundary DBAC executions, one lane per seed.
@@ -1561,9 +1263,11 @@ def run_dbac_batch(
     :func:`run_byz_batch` pinned to the ``"quorum"`` family -- the
     batched counterpart of :func:`repro.workloads.run_dbac_trial`.
 
-    >>> lanes = run_dbac_batch(6, 1, [0, 1, 2], backend="python")
-    >>> [lane.seed for lane in lanes]
-    [0, 1, 2]
+    >>> from functools import partial
+    >>> from repro.workloads import build_dbac_trial_execution
+    >>> serial = serial_lanes([0, 1, 2], partial(build_dbac_trial_execution, n=6))
+    >>> not numpy_available() or run_dbac_batch(6, None, [0, 1, 2]) == serial
+    True
     """
     return run_byz_batch(
         n,
@@ -1576,9 +1280,6 @@ def run_dbac_batch(
         adversary="quorum",
         stop_mode=stop_mode,
         max_rounds=max_rounds,
-        backend=backend,
-        width=width,
-        compact=compact,
         on_lane=on_lane,
     )
 
@@ -1587,32 +1288,24 @@ def run_dbac_batch(
 # whose delivered-from structure the vectorized kernel replicates.
 # ``rotate`` reuses the shared content-hash tables; ``nearest`` reuses
 # the stable-argsort helper (fault-free, no Byzantine quota); the
-# RNG-driven ``random`` selector falls back to the python backend.
+# RNG-driven ``random`` selector runs through serial_lanes.
 _BASELINE_VECTOR_SELECTORS = ("rotate", "nearest")
-
-# Local name->process map, kept in sync with
-# ``repro.workloads._BASELINE_PROCESSES`` (not imported: workloads
-# imports this module's package).
-_BASELINE_ENGINE_PROCESSES = {
-    "midpoint": IteratedMidpointProcess,
-    "trimmed": TrimmedMeanProcess,
-}
 
 
 class BaselineBatchEngine:
-    """Runs ``B`` independent averaging-baseline lanes in lock-step.
+    """Runs ``B`` independent averaging-baseline lanes in one kernel.
 
     The baseline counterpart of :class:`BatchEngine`: one shared
     parameter assignment, one seed per lane, lane families exactly as
-    :func:`repro.workloads.run_baseline_trial` builds them -- the
+    :func:`repro.workloads.build_baseline_execution` builds them -- the
     reliable-channel iterated ``"midpoint"`` (Dolev et al.) or
     trim-``f`` ``"trimmed"`` mean running fault-free under the same
     enforcing ``(window, floor(n/2))`` quorum adversary and seed/input
     streams as the DAC trials.
 
-    The numpy kernel exploits what makes these lanes special: every
-    node advances its round counter on every engine round (self
-    delivery keeps the batch non-empty), every lane outputs at exactly
+    The kernel exploits what makes these lanes special: every node
+    advances its round counter on every engine round (self delivery
+    keeps the batch non-empty), every lane outputs at exactly
     ``num_rounds``, and the whole per-node state is one float. Silent
     window rounds are provably value-preserving (the midpoint of
     ``{v}`` is ``v``; a trimmed batch of one is either ``{v}`` or
@@ -1620,10 +1313,10 @@ class BaselineBatchEngine:
     delivery rounds. Results are bit-identical to serial runs -- same
     floats, same round counts, same ``state_key()`` tuples.
 
-    Parameters mirror :func:`repro.workloads.run_baseline_trial`;
+    Parameters mirror :func:`repro.workloads.build_baseline_execution`;
     ``num_rounds=None`` defaults to DAC's ``p_end`` for the given
-    ``epsilon``, and ``backend`` resolves as in :class:`BatchEngine`
-    with ``_BASELINE_VECTOR_SELECTORS`` as the vectorizable set.
+    ``epsilon``. The kernel replicates the ``rotate``/``nearest``
+    selectors (see :meth:`vectorizes`).
     """
 
     def __init__(
@@ -1637,157 +1330,45 @@ class BaselineBatchEngine:
         window: int = 1,
         selector: str = "rotate",
         num_rounds: int | None = None,
-        backend: str = "auto",
     ) -> None:
         self.seeds = [int(seed) for seed in seeds]
         if not self.seeds:
             raise ValueError("need at least one seed (one lane)")
-        if algorithm not in _BASELINE_ENGINE_PROCESSES:
-            raise ValueError(
-                f"unknown algorithm {algorithm!r}; "
-                f"known: {sorted(_BASELINE_ENGINE_PROCESSES)}"
-            )
+        # The probe validates exactly what the serial builder rejects:
+        # unknown algorithms, negative round budgets, bad selectors,
+        # windows and degrees (n < 2).
+        probe = _builders().build_baseline_execution(
+            n=n,
+            algorithm=algorithm,
+            f=f,
+            epsilon=epsilon,
+            seed=self.seeds[0],
+            window=window,
+            selector=selector,
+            num_rounds=num_rounds,
+        )
+        if not self.vectorizes(selector):
+            raise _refusal("BaselineBatchEngine", f"selector {selector!r}")
         self.n = n
         self.f = int(f)
         self.algorithm = algorithm
-        self.epsilon = float(epsilon)
         self.window = int(window)
         self.selector = selector
-        # The DAC sufficiency threshold floor(n/2), kept in sync with
-        # :func:`repro.workloads.dac_degree` (not imported: workloads
-        # imports this module's package).
-        self.degree = n // 2
-        self.num_rounds = (
-            dac_end_phase(epsilon) if num_rounds is None else int(num_rounds)
-        )
-        # The serial trial's engine cap (the baselines complete one
-        # averaging phase per round plus a window of slack); lanes
-        # always output at num_rounds, so only the python backend's
-        # defensive cap can ever see it.
-        self.max_rounds = self.num_rounds + 2 * self.window
-        # Probes validate exactly what the serial builder would reject:
-        # the process refuses negative round budgets, the adversary
-        # refuses bad selectors, windows and degrees (n < 2).
-        _BASELINE_ENGINE_PROCESSES[algorithm](
-            n, self.f, 0.0, 0, num_rounds=self.num_rounds
-        )
-        self._adversary()
-        self.backend = self._resolve_backend(backend)
+        self.degree = probe["adversary"].degree
+        self.num_rounds = next(iter(probe["processes"].values())).num_rounds
         # salt -> receiver-major delivered-from table for the rotate
         # selector; at most n entries (cyclic in salt mod n).
         self._rotate_cache: dict[int, object] = {}
+
+    @staticmethod
+    def vectorizes(selector: str = "rotate") -> bool:
+        """Whether this kernel runs lanes with ``selector`` (numpy installed)."""
+        return numpy_available() and selector in _BASELINE_VECTOR_SELECTORS
 
     @property
     def batch_size(self) -> int:
         """Number of lanes ``B``."""
         return len(self.seeds)
-
-    def _adversary(self):
-        """A fresh enforcing adversary, exactly the serial trial's."""
-        if self.window == 1:
-            return RotatingQuorumAdversary(self.degree, selector=self.selector)
-        return LastMinuteQuorumAdversary(
-            self.window, self.degree, selector=self.selector
-        )
-
-    def _resolve_backend(self, backend: str) -> str:
-        if backend not in _BACKENDS:
-            raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
-        vectorizable = numpy_available() and self.selector in _BASELINE_VECTOR_SELECTORS
-        if backend == "auto":
-            return "numpy" if vectorizable else "python"
-        if backend == "numpy" and not vectorizable:
-            reason = (
-                "numpy is not installed"
-                if not numpy_available()
-                else f"selector {self.selector!r} is not vectorizable "
-                f"(supported: {_BASELINE_VECTOR_SELECTORS})"
-            )
-            raise ValueError(f"numpy backend unavailable: {reason}")
-        return backend
-
-    def run(self) -> list[LaneResult]:
-        """Run every lane to its fixed round budget; results in seed order."""
-        if self.backend == "numpy":
-            return self._run_numpy()
-        return self._run_python()
-
-    # -- python backend: lock-step over real engines -------------------
-
-    def _build_serial_engine(self, seed: int):
-        # Local imports: the runner/workloads layers import this
-        # module's package, so top-level imports here would be cyclic.
-        from repro.faults.base import FaultPlan
-        from repro.sim.engine import Engine
-
-        inputs = spawn_inputs(seed, self.n)
-        ports = random_ports(self.n, child_rng(seed, "ports"))
-        process_type = _BASELINE_ENGINE_PROCESSES[self.algorithm]
-        processes = {
-            node: process_type(
-                self.n,
-                self.f,
-                inputs[node],
-                ports.self_port(node),
-                num_rounds=self.num_rounds,
-            )
-            for node in range(self.n)
-        }
-        return Engine(
-            processes,
-            self._adversary(),
-            ports,
-            fault_plan=FaultPlan.fault_free_plan(self.n),
-            f=self.f,
-            seed=seed,
-            record_trace=False,
-        )
-
-    def _run_python(self) -> list[LaneResult]:
-        engines = [self._build_serial_engine(seed) for seed in self.seeds]
-        results: list[LaneResult | None] = [None] * len(engines)
-
-        def finalize(index: int, rounds: int, stopped: bool) -> None:
-            engine = engines[index]
-            plan = engine.fault_plan
-            outputs = {
-                v: engine.processes[v].output()
-                for v in sorted(plan.fault_free)
-                if engine.processes[v].has_output()
-            }
-            results[index] = LaneResult(
-                seed=self.seeds[index],
-                rounds=rounds,
-                stopped=stopped,
-                inputs={
-                    node: proc.input_value for node, proc in engine.processes.items()
-                },
-                outputs=outputs,
-                state_keys={
-                    node: proc.state_key() for node, proc in engine.processes.items()
-                },
-            )
-
-        active = list(range(len(engines)))
-        t = 0
-        while active:
-            # Same order as Engine.run: stop_when before each round,
-            # then the documented final check at the cap.
-            still = []
-            for index in active:
-                if engines[index].all_fault_free_output():
-                    finalize(index, t, True)
-                elif t >= self.max_rounds:
-                    finalize(index, t, False)
-                else:
-                    still.append(index)
-            for index in still:
-                engines[index].run_round()
-            active = still
-            t += 1
-        return [result for result in results if result is not None]
-
-    # -- numpy backend: fixed-budget value iteration --------------------
 
     def _rotate_matrix(self, salt: int):
         """Receiver-major delivered-from bools of one rotate round.
@@ -1806,7 +1387,8 @@ class BaselineBatchEngine:
             self._rotate_cache[key] = cached
         return cached
 
-    def _run_numpy(self) -> list[LaneResult]:
+    def run(self) -> list[LaneResult]:
+        """Run every lane to its fixed round budget; results in seed order."""
         np = _np
         n = self.n
         lanes = len(self.seeds)
@@ -1887,7 +1469,6 @@ def run_baseline_batch(
     window: int = 1,
     selector: str = "rotate",
     num_rounds: int | None = None,
-    backend: str = "auto",
     on_lane: Callable[[LaneResult], None] | None = None,
 ) -> list[LaneResult]:
     """Run one batch of averaging-baseline executions, one lane per seed.
@@ -1897,9 +1478,11 @@ def run_baseline_batch(
     ``on_lane`` is called once per finished lane, in lane (seed) order
     (see :func:`run_dac_batch`).
 
-    >>> lanes = run_baseline_batch(5, [0, 1], num_rounds=3, backend="python")
-    >>> [(lane.seed, lane.rounds, lane.stopped) for lane in lanes]
-    [(0, 3, True), (1, 3, True)]
+    >>> from functools import partial
+    >>> from repro.workloads import build_baseline_execution
+    >>> serial = serial_lanes([0, 1], partial(build_baseline_execution, n=5, num_rounds=3))
+    >>> not numpy_available() or run_baseline_batch(5, [0, 1], num_rounds=3) == serial
+    True
     """
     lanes = BaselineBatchEngine(
         n,
@@ -1910,132 +1493,7 @@ def run_baseline_batch(
         window=window,
         selector=selector,
         num_rounds=num_rounds,
-        backend=backend,
     ).run()
-    if on_lane is not None:
-        for lane in lanes:
-            on_lane(lane)
-    return lanes
-
-
-class GenericBatchEngine:
-    """Lock-step lanes over serial engines built from an execution builder.
-
-    The registry's open end: a family registered through
-    :mod:`repro.scenario` gets a batched form without writing a
-    kernel. ``build(seed)`` returns the family's
-    :func:`repro.sim.runner.run_consensus` keyword dict (processes,
-    adversary, ports, fault plan, ``stop_mode``, ``max_rounds``,
-    ``epsilon``); the engine advances one real serial
-    :class:`~repro.sim.engine.Engine` per seed in lock-step, checking
-    each lane's stop condition before every round and once more at the
-    cap -- exactly the serial ``Engine.run`` order, so lanes are
-    bit-identical to per-seed serial runs by construction.
-
-    Python backend only: a family that wants vectorized lanes writes a
-    dedicated kernel (like :class:`BatchEngine` /
-    :class:`ByzBatchEngine`) and reports it via its ``vectorizable``
-    hook; ``backend="auto"`` degrades to python here.
-    """
-
-    def __init__(
-        self,
-        seeds: Sequence[int],
-        build: Callable[[int], dict],
-        *,
-        backend: str = "auto",
-    ) -> None:
-        if backend not in _BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; use one of {_BACKENDS}")
-        if backend == "numpy":
-            raise ValueError(
-                "the generic batch engine is python-only; register a "
-                "dedicated kernel for vectorized lanes"
-            )
-        self.seeds = [int(seed) for seed in seeds]
-        self.build = build
-
-    def _build_engine(self, seed: int):
-        from repro.sim.engine import Engine
-
-        kwargs = self.build(seed)
-        engine = Engine(
-            kwargs["processes"],
-            kwargs["adversary"],
-            kwargs["ports"],
-            fault_plan=kwargs["fault_plan"],
-            f=kwargs["f"],
-            seed=kwargs["seed"],
-            record_trace=False,
-        )
-        return engine, kwargs
-
-    @staticmethod
-    def _stop_holds(engine, stop_mode: str, epsilon: float) -> bool:
-        if stop_mode == "output":
-            return engine.all_fault_free_output()
-        return engine.fault_free_range() <= epsilon
-
-    @staticmethod
-    def _finalize(engine, stop_mode: str, seed: int, rounds: int, stopped: bool) -> LaneResult:
-        if stop_mode == "output":
-            outputs = {
-                v: engine.processes[v].output()
-                for v in sorted(engine.fault_plan.fault_free)
-                if engine.processes[v].has_output()
-            }
-        else:
-            outputs = engine.fault_free_values()
-        return LaneResult(
-            seed=seed,
-            rounds=rounds,
-            stopped=stopped,
-            inputs={node: proc.input_value for node, proc in engine.processes.items()},
-            outputs=outputs,
-            state_keys={
-                node: proc.state_key() for node, proc in engine.processes.items()
-            },
-        )
-
-    def run(self) -> list[LaneResult]:
-        """Run every lane to its stop condition; results in seed order."""
-        lanes = [self._build_engine(seed) for seed in self.seeds]
-        results: list[LaneResult | None] = [None] * len(lanes)
-        active = list(range(len(lanes)))
-        t = 0
-        while active:
-            still = []
-            for index in active:
-                engine, kwargs = lanes[index]
-                stop_mode = kwargs.get("stop_mode", "output")
-                epsilon = kwargs.get("epsilon", 1e-3)
-                holds = self._stop_holds(engine, stop_mode, epsilon)
-                if holds or t >= kwargs["max_rounds"]:
-                    results[index] = self._finalize(
-                        engine, stop_mode, self.seeds[index], t, holds
-                    )
-                else:
-                    still.append(index)
-            for index in still:
-                lanes[index][0].run_round()
-            active = still
-            t += 1
-        return [result for result in results if result is not None]
-
-
-def run_generic_batch(
-    seeds: Sequence[int],
-    build: Callable[[int], dict],
-    *,
-    backend: str = "auto",
-    on_lane: Callable[[LaneResult], None] | None = None,
-) -> list[LaneResult]:
-    """Run one batch of builder-defined executions, one lane per seed.
-
-    Convenience wrapper over :class:`GenericBatchEngine`, with the
-    same ``on_lane`` streaming hook as :func:`run_dac_batch`.
-    """
-    lanes = GenericBatchEngine(seeds, build, backend=backend).run()
     if on_lane is not None:
         for lane in lanes:
             on_lane(lane)

@@ -19,6 +19,7 @@ benchmarks share one vocabulary of scenarios:
 
 from __future__ import annotations
 
+import functools
 from typing import Any
 
 from repro.adversary.constrained import (
@@ -526,15 +527,11 @@ def run_dac_trial_batch(
 
     The batched-trial form the parallel layer dispatches (attached
     below as ``run_dac_trial.batch_fn``): returns exactly
-    ``[run_dac_trial(..., seed=s) for s in seeds]``, computed by one
-    lock-step :class:`repro.sim.batch.BatchEngine` pass -- vectorized
-    when numpy is installed, serial-engine lock-step otherwise. The
-    non-fast and observed paths record per-trial engine snapshots,
-    which batching cannot amortize, so they simply delegate to the
-    serial trial.
+    ``[run_dac_trial(..., seed=s) for s in seeds]``, computed from the
+    lanes of :func:`_dac_lanes`. The non-fast and observed paths
+    record per-trial engine snapshots, which batching cannot amortize,
+    so they simply delegate to the serial trial.
     """
-    from repro.sim.batch import run_dac_batch
-
     seeds = [int(seed) for seed in seeds]
     if f is None:
         f = (n - 1) // 2
@@ -555,10 +552,10 @@ def run_dac_trial_batch(
             )
             for seed in seeds
         ]
-    lanes = run_dac_batch(
-        n,
-        f,
+    lanes = _dac_lanes(
         seeds,
+        n=n,
+        f=f,
         epsilon=epsilon,
         window=window,
         selector=selector,
@@ -567,6 +564,21 @@ def run_dac_trial_batch(
         max_rounds=max_rounds,
     )
     return [_lane_summary(lane, epsilon) for lane in lanes]
+
+
+def _dac_lanes(seeds: Any, **params: Any) -> list[Any]:
+    """DAC lane results: the numpy kernel where it applies, else per seed.
+
+    The DAC family's one kernel-or-serial switch (its batched trial
+    and :meth:`DacFamily.batch` both come here), decided by the
+    kernel's own predicate :meth:`repro.sim.batch.BatchEngine.vectorizes`.
+    ``params`` are :func:`build_dac_execution`'s, ``f`` resolved.
+    """
+    from repro.sim.batch import BatchEngine, run_dac_batch, serial_lanes
+
+    if BatchEngine.vectorizes(params.get("selector", "rotate")):
+        return run_dac_batch(seeds=seeds, **params)
+    return serial_lanes(seeds, functools.partial(build_dac_execution, **params))
 
 
 run_dac_trial.batch_fn = run_dac_trial_batch  # type: ignore[attr-defined]
@@ -588,6 +600,46 @@ TRIAL_BYZANTINE_STRATEGIES: dict[str, Any] = {
     "pin-high": lambda: FixedValueByzantine(1.0),
     "pin-low": lambda: FixedValueByzantine(0.0),
 }
+
+
+def build_dbac_trial_execution(
+    n: int,
+    f: int | None = None,
+    epsilon: float = 1e-3,
+    seed: int = 0,
+    window: int = 1,
+    selector: str = "nearest",
+    strategy: str = "extreme",
+    stop_mode: str = "oracle",
+    max_rounds: int = 50_000,
+) -> dict[str, Any]:
+    """:func:`build_dbac_execution` as the DBAC trials parameterize it.
+
+    ``f`` defaults to the boundary ``(n - 1) // 5`` and the ``f``
+    highest nodes run the Byzantine ``strategy`` named in
+    ``TRIAL_BYZANTINE_STRATEGIES`` -- names, not strategy objects, so
+    every caller (trials, batch lanes, the registry family) stays
+    picklable and builds the same execution.
+    """
+    if f is None:
+        f = (n - 1) // 5
+    if strategy not in TRIAL_BYZANTINE_STRATEGIES:
+        raise ValueError(
+            f"unknown strategy {strategy!r}; "
+            f"known: {sorted(TRIAL_BYZANTINE_STRATEGIES)}"
+        )
+    factory = TRIAL_BYZANTINE_STRATEGIES[strategy]
+    return build_dbac_execution(
+        n=n,
+        f=f,
+        epsilon=epsilon,
+        seed=seed,
+        window=window,
+        selector=selector,
+        byzantine_factory=lambda node: factory(),
+        stop_mode=stop_mode,
+        max_rounds=max_rounds,
+    )
 
 
 def run_dbac_trial(
@@ -625,24 +677,16 @@ def run_dbac_trial(
     """
     from repro.sim.runner import run_consensus  # local import: runner is heavy
 
-    if f is None:
-        f = (n - 1) // 5
-    if strategy not in TRIAL_BYZANTINE_STRATEGIES:
-        raise ValueError(
-            f"unknown strategy {strategy!r}; "
-            f"known: {sorted(TRIAL_BYZANTINE_STRATEGIES)}"
-        )
-    factory = TRIAL_BYZANTINE_STRATEGIES[strategy]
     hooks, finish = _observer_hooks(observe)
     report = run_consensus(
-        **build_dbac_execution(
+        **build_dbac_trial_execution(
             n=n,
             f=f,
             epsilon=epsilon,
             seed=seed,
             window=window,
             selector=selector,
-            byzantine_factory=lambda node: factory(),
+            strategy=strategy,
             stop_mode=stop_mode,
             max_rounds=max_rounds,
         ),
@@ -678,16 +722,11 @@ def run_dbac_trial_batch(
 
     The batched-trial form the parallel layer dispatches (attached
     below as ``run_dbac_trial.batch_fn``): returns exactly
-    ``[run_dbac_trial(..., seed=s) for s in seeds]``, computed by one
-    lock-step :class:`repro.sim.batch.ByzBatchEngine` pass --
-    vectorized (witness counters, trimmed updates, stable-argsort
-    ``nearest`` selection) when numpy is installed and the
-    selector/strategy pair is vectorizable, serial-engine lock-step
-    otherwise. The non-fast path records traces per trial, which
-    batching cannot amortize, so it delegates to the serial trial.
+    ``[run_dbac_trial(..., seed=s) for s in seeds]``, computed from the
+    lanes of :func:`_dbac_lanes`. The non-fast path records traces per
+    trial, which batching cannot amortize, so it delegates to the
+    serial trial.
     """
-    from repro.sim.batch import run_dbac_batch
-
     seeds = [int(seed) for seed in seeds]
     if not fast or observe:
         return [
@@ -706,10 +745,10 @@ def run_dbac_trial_batch(
             )
             for seed in seeds
         ]
-    lanes = run_dbac_batch(
-        n,
-        f,
+    lanes = _dbac_lanes(
         seeds,
+        n=n,
+        f=f,
         epsilon=epsilon,
         window=window,
         selector=selector,
@@ -718,6 +757,24 @@ def run_dbac_trial_batch(
         max_rounds=max_rounds,
     )
     return [_lane_summary(lane, epsilon) for lane in lanes]
+
+
+def _dbac_lanes(seeds: Any, **params: Any) -> list[Any]:
+    """DBAC lane results: the numpy kernel where it applies, else per seed.
+
+    The DBAC family's one kernel-or-serial switch, decided by
+    :meth:`repro.sim.batch.ByzBatchEngine.vectorizes` (vectorized
+    witness counters, trimmed updates and stable-argsort ``nearest``
+    selection; the RNG-driven ``random`` selector and strategy run per
+    seed). ``params`` are :func:`build_dbac_trial_execution`'s.
+    """
+    from repro.sim.batch import ByzBatchEngine, run_dbac_batch, serial_lanes
+
+    if ByzBatchEngine.vectorizes(
+        "quorum", params.get("selector", "nearest"), params.get("strategy", "extreme")
+    ):
+        return run_dbac_batch(seeds=seeds, **params)
+    return serial_lanes(seeds, functools.partial(build_dbac_trial_execution, **params))
 
 
 run_dbac_trial.batch_fn = run_dbac_trial_batch  # type: ignore[attr-defined]
@@ -764,6 +821,18 @@ def build_mobile_execution(
     }
 
 
+def _mobile_mode(adversary: str, f: int | None) -> str:
+    """The ``<mode>`` of a ``"mobile-<mode>"`` adversary (fault-free only)."""
+    if not adversary.startswith("mobile-"):
+        raise ValueError(
+            f"unknown adversary {adversary!r}; use 'quorum' or "
+            f"'mobile-<mode>' with mode in {_MOBILE_MODES}"
+        )
+    if f not in (None, 0):
+        raise ValueError(f"mobile-omission trials are fault-free, got f={f}")
+    return adversary[len("mobile-") :]
+
+
 def run_byz_trial(
     n: int,
     f: int | None = None,
@@ -799,10 +868,9 @@ def run_byz_trial(
       ``none``). ``strategy``/``window``/``selector`` are ignored;
       ``f`` must be 0 (default).
 
-    Deterministic in ``seed``; both families batch through
-    :class:`repro.sim.batch.ByzBatchEngine` via the attached
-    ``batch_fn`` (one summary per seed, in seed order, equal to the
-    per-trial calls).
+    Deterministic in ``seed``; both families batch through the
+    attached ``batch_fn`` (one summary per seed, in seed order, equal
+    to the per-trial calls).
 
     >>> summary = run_byz_trial(n=6, adversary="mobile-none", seed=0)
     >>> summary["correct"]
@@ -826,14 +894,7 @@ def run_byz_trial(
             fast=fast,
             observe=observe,
         )
-    if not adversary.startswith("mobile-"):
-        raise ValueError(
-            f"unknown adversary {adversary!r}; use 'quorum' or "
-            f"'mobile-<mode>' with mode in {_MOBILE_MODES}"
-        )
-    mode = adversary[len("mobile-") :]
-    if f not in (None, 0):
-        raise ValueError(f"mobile-omission trials are fault-free, got f={f}")
+    mode = _mobile_mode(adversary, f)
     hooks, finish = _observer_hooks(observe)
     report = run_consensus(
         **build_mobile_execution(
@@ -877,15 +938,10 @@ def run_byz_trial_batch(
 
     Attached as ``run_byz_trial.batch_fn`` and dispatched by the
     parallel layer, so fault-model comparison grids batch too: both the
-    ``"quorum"`` (DBAC) and ``"mobile-<mode>"`` lane families run
-    through one lock-step :class:`repro.sim.batch.ByzBatchEngine` pass,
-    vectorized when numpy is installed (the ``random``
-    selector/strategy falls back to serial-engine lock-step). The
-    non-fast path delegates to the serial trial like
-    :func:`run_dbac_trial_batch` does.
+    ``"quorum"`` (DBAC) and ``"mobile-<mode>"`` lane families come from
+    :func:`_byz_lanes`. The non-fast path delegates to the serial trial
+    like :func:`run_dbac_trial_batch` does.
     """
-    from repro.sim.batch import run_byz_batch
-
     seeds = [int(seed) for seed in seeds]
     if not fast or observe:
         return [
@@ -905,10 +961,10 @@ def run_byz_trial_batch(
             )
             for seed in seeds
         ]
-    lanes = run_byz_batch(
-        n,
-        f,
+    lanes = _byz_lanes(
         seeds,
+        n=n,
+        f=f,
         epsilon=epsilon,
         window=window,
         selector=selector,
@@ -918,6 +974,38 @@ def run_byz_trial_batch(
         max_rounds=max_rounds,
     )
     return [_lane_summary(lane, epsilon) for lane in lanes]
+
+
+def _byz_lanes(
+    seeds: Any,
+    *,
+    adversary: str = "quorum",
+    n: int,
+    f: int | None = None,
+    epsilon: float = 1e-3,
+    stop_mode: str = "oracle",
+    max_rounds: int = 50_000,
+    **quorum_params: Any,
+) -> list[Any]:
+    """Byzantine-family lane results: the numpy kernel where it applies.
+
+    ``"quorum"`` lanes are :func:`_dbac_lanes`; mobile-omission lanes
+    run in :class:`repro.sim.batch.ByzBatchEngine` when its predicate
+    allows (numpy installed) and per seed otherwise.
+    ``quorum_params`` (``window``/``selector``/``strategy``) only
+    apply to quorum lanes, as in :func:`run_byz_trial`.
+    """
+    from repro.sim.batch import ByzBatchEngine, run_byz_batch, serial_lanes
+
+    common = {"n": n, "epsilon": epsilon, "stop_mode": stop_mode, "max_rounds": max_rounds}
+    if adversary == "quorum":
+        return _dbac_lanes(seeds, f=f, **common, **quorum_params)
+    mode = _mobile_mode(adversary, f)
+    if ByzBatchEngine.vectorizes(adversary):
+        return run_byz_batch(f=None, seeds=seeds, adversary=adversary, **common)
+    return serial_lanes(
+        seeds, functools.partial(build_mobile_execution, mode=mode, **common)
+    )
 
 
 run_byz_trial.batch_fn = run_byz_trial_batch  # type: ignore[attr-defined]
@@ -1004,7 +1092,8 @@ def run_baseline_trial(
     Deterministic in ``seed`` with the same batch_fn contract as
     :func:`run_dac_trial`; under ``batch=B`` the lanes advance through
     the vectorized :class:`repro.sim.batch.BaselineBatchEngine` kernel
-    (two floats of per-node state, fixed round budget).
+    (one float of per-node state, fixed round budget) where it
+    applies.
 
     >>> summary = run_baseline_trial(n=6, algorithm="midpoint", seed=0)
     >>> summary["terminated"]
@@ -1057,16 +1146,11 @@ def run_baseline_trial_batch(
 
     The batched-trial form the parallel layer dispatches (attached
     below as ``run_baseline_trial.batch_fn``): returns exactly
-    ``[run_baseline_trial(..., seed=s) for s in seeds]``, computed by
-    one lock-step :class:`repro.sim.batch.BaselineBatchEngine` pass --
-    a fixed-budget vectorized value iteration when numpy is installed
-    and the selector is vectorizable (``rotate``/``nearest``),
-    serial-engine lock-step otherwise. The non-fast and observed paths
-    record per-trial engine snapshots, which batching cannot amortize,
-    so they delegate to the serial trial.
+    ``[run_baseline_trial(..., seed=s) for s in seeds]``, computed from
+    the lanes of :func:`_baseline_lanes`. The non-fast and observed
+    paths record per-trial engine snapshots, which batching cannot
+    amortize, so they delegate to the serial trial.
     """
-    from repro.sim.batch import run_baseline_batch
-
     seeds = [int(seed) for seed in seeds]
     if not fast or observe:
         return [
@@ -1084,9 +1168,9 @@ def run_baseline_trial_batch(
             )
             for seed in seeds
         ]
-    lanes = run_baseline_batch(
-        n,
+    lanes = _baseline_lanes(
         seeds,
+        n=n,
         algorithm=algorithm,
         f=f,
         epsilon=epsilon,
@@ -1095,6 +1179,21 @@ def run_baseline_trial_batch(
         num_rounds=num_rounds,
     )
     return [_lane_summary(lane, epsilon) for lane in lanes]
+
+
+def _baseline_lanes(seeds: Any, **params: Any) -> list[Any]:
+    """Baseline lane results: the numpy kernel where it applies, else per seed.
+
+    The baseline family's one kernel-or-serial switch, decided by
+    :meth:`repro.sim.batch.BaselineBatchEngine.vectorizes` (a
+    fixed-budget value iteration for the ``rotate``/``nearest``
+    selectors). ``params`` are :func:`build_baseline_execution`'s.
+    """
+    from repro.sim.batch import BaselineBatchEngine, run_baseline_batch, serial_lanes
+
+    if BaselineBatchEngine.vectorizes(params.get("selector", "rotate")):
+        return run_baseline_batch(seeds=seeds, **params)
+    return serial_lanes(seeds, functools.partial(build_baseline_execution, **params))
 
 
 run_baseline_trial.batch_fn = run_baseline_trial_batch  # type: ignore[attr-defined]
@@ -1270,25 +1369,8 @@ class DacFamily(AlgorithmFamily):
     def build(self, *, seed, **params):
         return build_dac_execution(seed=seed, **params)
 
-    def batch(self, seeds, *, backend="auto", **params):
-        from repro.sim.batch import run_dac_batch
-
-        return run_dac_batch(
-            params["n"],
-            params["f"],
-            seeds,
-            epsilon=params["epsilon"],
-            window=params["window"],
-            selector=params["selector"],
-            crash_nodes=params["crash_nodes"],
-            crash_start=params["crash_start"],
-            max_rounds=params["max_rounds"],
-            backend=backend,
-        )
-
-    def vectorizable(self, params):
-        # The vectorized DAC kernel replicates the rotate structure only.
-        return params.get("selector", "rotate") == "rotate"
+    def batch(self, seeds, **params):
+        return _dac_lanes(seeds, **params)
 
 
 @register_algorithm("dbac", version=1)
@@ -1320,39 +1402,10 @@ class DbacFamily(AlgorithmFamily):
         return params
 
     def build(self, *, seed, **params):
-        factory = TRIAL_BYZANTINE_STRATEGIES[params["strategy"]]
-        return build_dbac_execution(
-            n=params["n"],
-            f=params["f"],
-            epsilon=params["epsilon"],
-            seed=seed,
-            window=params["window"],
-            selector=params["selector"],
-            byzantine_factory=lambda node: factory(),
-            max_rounds=params["max_rounds"],
-        )
+        return build_dbac_trial_execution(seed=seed, **params)
 
-    def batch(self, seeds, *, backend="auto", **params):
-        from repro.sim.batch import run_dbac_batch
-
-        return run_dbac_batch(
-            params["n"],
-            params["f"],
-            seeds,
-            epsilon=params["epsilon"],
-            window=params["window"],
-            selector=params["selector"],
-            strategy=params["strategy"],
-            max_rounds=params["max_rounds"],
-            backend=backend,
-        )
-
-    def vectorizable(self, params):
-        # RNG-stream consumers fall back to the python backend.
-        return (
-            params.get("selector") != "random"
-            and params.get("strategy") != "random"
-        )
+    def batch(self, seeds, **params):
+        return _dbac_lanes(seeds, **params)
 
 
 @register_algorithm("byz", version=1)
@@ -1381,26 +1434,13 @@ class ByzFamily(AlgorithmFamily):
             max_rounds=params["max_rounds"],
         )
 
-    def batch(self, seeds, *, backend="auto", **params):
-        from repro.sim.batch import run_byz_batch
-
-        return run_byz_batch(
-            params["n"],
-            None,
-            seeds,
-            epsilon=params["epsilon"],
-            adversary=f"mobile-{params['mode']}",
-            max_rounds=params["max_rounds"],
-            backend=backend,
-        )
+    def batch(self, seeds, **params):
+        return _byz_lanes(seeds, **self.trial_kwargs(dict(params)))
 
     def trial_kwargs(self, params):
         mode = params.pop("mode")
         params["adversary"] = f"mobile-{mode}"
         return params
-
-    def vectorizable(self, params):
-        return True
 
 
 @register_algorithm("baseline", version=1)
@@ -1430,21 +1470,5 @@ class BaselineFamily(AlgorithmFamily):
     def build(self, *, seed, **params):
         return build_baseline_execution(seed=seed, **params)
 
-    def batch(self, seeds, *, backend="auto", **params):
-        from repro.sim.batch import run_baseline_batch
-
-        return run_baseline_batch(
-            params["n"],
-            seeds,
-            algorithm=params["algorithm"],
-            f=params["f"],
-            epsilon=params["epsilon"],
-            window=params["window"],
-            selector=params["selector"],
-            num_rounds=params["num_rounds"],
-            backend=backend,
-        )
-
-    def vectorizable(self, params):
-        # The value kernel replicates rotate/nearest selection only.
-        return params.get("selector") in ("rotate", "nearest")
+    def batch(self, seeds, **params):
+        return _baseline_lanes(seeds, **params)

@@ -2,22 +2,26 @@
 
 Three contracts make ``batch=B`` a pure speed knob:
 
-1. :class:`repro.sim.batch.BatchEngine` and
-   :class:`repro.sim.batch.ByzBatchEngine` produce **bit-identical
+1. the numpy kernels (:class:`repro.sim.batch.BatchEngine`,
+   :class:`repro.sim.batch.ByzBatchEngine`) produce **bit-identical
    final states and round counts** to ``B`` serial ``Engine`` runs of
    the same lanes -- full ``state_key`` equality, not just outputs --
    across the DAC (crash), DBAC (Byzantine) and mobile-omission
-   families;
-2. the numpy backend and the always-importable pure-Python fallback
-   produce identical lane results (asserted when numpy is present),
-   and lane compaction / vector-width chunking never change results;
+   families, and equal :func:`repro.sim.batch.serial_lanes` (the
+   per-seed path every non-vectorizable lane takes) on the same
+   multi-lane batches (asserted when numpy is present);
+2. :func:`repro.sim.batch.serial_lanes` equals one ``Engine.run`` per
+   seed for every registered family;
 3. ``Sweep.run(workers=4, batch=4)`` records are identical, element
    for element, to ``Sweep.run(workers=1, batch=1)`` records.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.bench.sweep import Sweep
+from repro.scenario import algorithm_entries, resolve, spec_for
 from repro.sim.batch import (
     BatchEngine,
     ByzBatchEngine,
@@ -25,6 +29,7 @@ from repro.sim.batch import (
     run_byz_batch,
     run_dac_batch,
     run_dbac_batch,
+    serial_lanes,
 )
 from repro.sim.engine import Engine
 from repro.sim.parallel import (
@@ -37,6 +42,8 @@ from repro.workloads import (
     TRIAL_BYZANTINE_STRATEGIES,
     build_dac_execution,
     build_dbac_execution,
+    build_dbac_trial_execution,
+    build_mobile_execution,
     run_byz_trial,
     run_byz_trial_batch,
     run_dac_trial,
@@ -47,10 +54,16 @@ from repro.workloads import (
 from tests.helpers import (
     assert_equivalent_runs,
     batch_executor,
+    normalize_config,
+    run_config_serial,
     serial_executor,
 )
 
+# The two lane paths: "python" is serial_lanes (one Engine.run per
+# seed), "numpy" the vectorized kernel (only when numpy is installed).
 BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
+
+needs_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 
 # (n, f, window): fault-free, crash-fault, multi-round windows.
 GRIDS = [(9, 0, 1), (9, 4, 1), (9, 4, 3), (12, 5, 2), (5, 2, 1)]
@@ -102,50 +115,46 @@ def run_serial_dbac_lane(
 class TestBatchMatchesSerial:
     @pytest.mark.parametrize("n,f,window", GRIDS)
     def test_finals_and_rounds_bit_identical(self, n, f, window):
-        # The shared harness: serial sweep (reference) == python
-        # backend == numpy backend (when installed), all 8 seeds as ONE
-        # multi-lane batch per backend so lock-step lane interplay is
-        # exercised; full per-node state keys -- value, phase, port bit
-        # vector, extremes, output -- the strongest equality available.
+        # The shared harness: serial sweep (reference) == the family's
+        # batch lanes (the numpy kernel when installed, serial_lanes
+        # otherwise), all 8 seeds as ONE multi-lane batch so lock-step
+        # lane interplay is exercised; full per-node state keys --
+        # value, phase, port bit vector, extremes, output -- the
+        # strongest equality available.
         assert_equivalent_runs(
             [{"family": "dac", "n": n, "f": f, "window": window,
               "seeds": tuple(range(8))}],
-            {
-                "serial-fast": serial_executor(),
-                "batch-python": batch_executor("python"),
-                "batch-numpy": batch_executor("numpy"),
-            },
+            {"serial-fast": serial_executor(), "batch": batch_executor()},
         )
 
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+    @needs_numpy
     @pytest.mark.parametrize("n,f,window", GRIDS)
     def test_numpy_backend_matches_python_fallback(self, n, f, window):
+        # The kernel vs serial_lanes, one multi-lane batch each.
         seeds = [3, 11, 20, 21, 22, 23, 100, 101]
-        assert run_dac_batch(
-            n, f, seeds, window=window, backend="numpy"
-        ) == run_dac_batch(n, f, seeds, window=window, backend="python")
+        assert run_dac_batch(n, f, seeds, window=window) == serial_lanes(
+            seeds, partial(build_dac_execution, n=n, f=f, window=window)
+        )
 
     def test_lane_order_is_seed_order_not_finish_order(self):
         # Lanes terminate at different rounds; results must still come
         # back in seeds order.
         seeds = [7, 0, 13, 5]
-        lanes = run_dac_batch(9, 4, seeds, window=2)
+        lanes = resolve(spec_for("dac", {"n": 9, "f": 4, "window": 2})).batch(seeds)
         assert [lane.seed for lane in lanes] == seeds
         assert len({lane.rounds for lane in lanes}) >= 1  # all finalized
         assert all(lane.stopped for lane in lanes)
 
     def test_backend_resolution_and_validation(self):
-        engine = BatchEngine(9, 4, [0], backend="auto")
-        expected = "numpy" if numpy_available() else "python"
-        assert engine.backend == expected
-        assert engine.batch_size == 1
-        # Value-dependent selectors are not vectorizable; auto falls
-        # back to the python backend, an explicit numpy request errors.
-        assert BatchEngine(9, 4, [0], selector="nearest").backend == "python"
+        # The kernel's predicate picks the path; the constructor
+        # refuses what the predicate rejects (value-dependent
+        # selectors, or no numpy at all).
+        assert BatchEngine.vectorizes("rotate") == numpy_available()
+        assert not BatchEngine.vectorizes("nearest")
         with pytest.raises(ValueError, match="selector|numpy"):
-            BatchEngine(9, 4, [0], selector="nearest", backend="numpy")
-        with pytest.raises(ValueError, match="backend"):
-            BatchEngine(9, 4, [0], backend="cuda")
+            BatchEngine(9, 4, [0], selector="nearest")
+        if numpy_available():
+            assert BatchEngine(9, 4, [0]).batch_size == 1
         with pytest.raises(ValueError, match="seed"):
             BatchEngine(9, 4, [])
         with pytest.raises(ValueError, match="2f"):
@@ -155,7 +164,12 @@ class TestBatchMatchesSerial:
     def test_max_rounds_cap_reports_unstopped_lanes(self, backend):
         # A cap far below termination: every lane must report exactly
         # the cap and stopped=False, like Engine.run does.
-        lanes = run_dac_batch(9, 4, [0, 1], max_rounds=3, backend=backend)
+        if backend == "numpy":
+            lanes = run_dac_batch(9, 4, [0, 1], max_rounds=3)
+        else:
+            lanes = serial_lanes(
+                [0, 1], partial(build_dac_execution, n=9, f=4, max_rounds=3)
+            )
         assert [lane.rounds for lane in lanes] == [3, 3]
         assert not any(lane.stopped for lane in lanes)
         assert all(lane.outputs == {} for lane in lanes)
@@ -272,37 +286,31 @@ class TestByzBatchMatchesSerial:
     def test_dbac_finals_and_rounds_bit_identical(
         self, n, f, window, selector, strategy
     ):
-        # The shared harness: serial sweep (reference) == python
-        # backend == numpy backend (when installed), all 6 seeds as ONE
-        # multi-lane batch per backend. Full per-node state keys --
-        # value, phase, port bit vector, R_low / R_high recording
-        # lists, output -- the strongest equality available; oracle
-        # outputs (the fault-free states at stop) ride along.
+        # The shared harness: serial sweep (reference) == the family's
+        # batch lanes, all 6 seeds as ONE multi-lane batch. Full
+        # per-node state keys -- value, phase, port bit vector, R_low /
+        # R_high recording lists, output -- the strongest equality
+        # available; oracle outputs (the fault-free states at stop)
+        # ride along.
         assert_equivalent_runs(
             [{
                 "family": "dbac", "n": n, "f": f, "window": window,
                 "selector": selector, "strategy": strategy,
                 "seeds": tuple(range(6)),
             }],
-            {
-                "serial-fast": serial_executor(),
-                "batch-python": batch_executor("python"),
-                "batch-numpy": batch_executor("numpy"),
-            },
+            {"serial-fast": serial_executor(), "batch": batch_executor()},
         )
 
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+    @needs_numpy
     @pytest.mark.parametrize("n,f,window,selector,strategy", BYZ_GRIDS)
     def test_numpy_backend_matches_python_fallback(
         self, n, f, window, selector, strategy
     ):
+        # The kernel vs serial_lanes, one multi-lane batch each.
         seeds = [3, 11, 20, 21, 100]
-        assert run_dbac_batch(
-            n, f, seeds, window=window, selector=selector, strategy=strategy,
-            backend="numpy",
-        ) == run_dbac_batch(
-            n, f, seeds, window=window, selector=selector, strategy=strategy,
-            backend="python",
+        params = {"window": window, "selector": selector, "strategy": strategy}
+        assert run_dbac_batch(n, f, seeds, **params) == serial_lanes(
+            seeds, partial(build_dbac_trial_execution, n=n, f=f, **params)
         )
 
     def test_stored_count_invariant_backs_the_kernel_layout(self, monkeypatch):
@@ -341,9 +349,13 @@ class TestByzBatchMatchesSerial:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_max_rounds_cap_reports_unstopped_lanes(self, backend):
-        lanes = run_dbac_batch(
-            11, 2, [0, 1], epsilon=1e-15, max_rounds=4, backend=backend
-        )
+        params = {"epsilon": 1e-15, "max_rounds": 4}
+        if backend == "numpy":
+            lanes = run_dbac_batch(11, 2, [0, 1], **params)
+        else:
+            lanes = serial_lanes(
+                [0, 1], partial(build_dbac_trial_execution, n=11, f=2, **params)
+            )
         assert [lane.rounds for lane in lanes] == [4, 4]
         assert not any(lane.stopped for lane in lanes)
         for seed, lane in zip([0, 1], lanes):
@@ -358,35 +370,42 @@ class TestByzBatchMatchesSerial:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_output_stop_mode_matches_serial_trials(self, backend):
         # Algorithm-local stopping: p_end is astronomically conservative
-        # so cap tightly; summaries must equal the serial trial's.
+        # so cap tightly; summaries must equal the serial trial's on
+        # both lane paths (the random selector forces serial_lanes).
         seeds = [0, 1, 2]
+        selector = "nearest" if backend == "numpy" else "random"
         batched = run_dbac_trial_batch(
-            n=11, stop_mode="output", max_rounds=6, seeds=seeds
+            n=11, selector=selector, stop_mode="output", max_rounds=6, seeds=seeds
         )
         assert batched == [
-            run_dbac_trial(n=11, stop_mode="output", max_rounds=6, seed=s)
+            run_dbac_trial(
+                n=11, selector=selector, stop_mode="output", max_rounds=6, seed=s
+            )
             for s in seeds
         ]
 
     def test_random_strategy_and_selector_fall_back_to_python(self):
-        assert ByzBatchEngine(11, 2, [0], strategy="random").backend == "python"
-        assert ByzBatchEngine(11, 2, [0], selector="random").backend == "python"
+        # RNG-stream consumers are outside the kernel's predicate, so
+        # the family runs them through serial_lanes.
+        assert not ByzBatchEngine.vectorizes("quorum", strategy="random")
+        assert not ByzBatchEngine.vectorizes("quorum", selector="random")
         seeds = [0, 1]
         for kwargs in ({"strategy": "random"}, {"selector": "random"}):
-            lanes = run_dbac_batch(11, 2, seeds, **kwargs)
+            lanes = resolve(spec_for("dbac", {"n": 11, "f": 2, **kwargs})).batch(seeds)
             serial = [run_dbac_trial(n=11, f=2, seed=s, **kwargs) for s in seeds]
             assert [lane.rounds for lane in lanes] == [r["rounds"] for r in serial]
 
     def test_backend_resolution_and_validation(self):
-        expected = "numpy" if numpy_available() else "python"
-        assert ByzBatchEngine(11, 2, [0]).backend == expected
+        # The kernel's predicate picks the path; the constructor
+        # refuses what the predicate rejects.
+        assert ByzBatchEngine.vectorizes() == numpy_available()
+        assert ByzBatchEngine.vectorizes("mobile-rotate") == numpy_available()
+        with pytest.raises(ValueError, match="strategy|numpy"):
+            ByzBatchEngine(11, 2, [0], strategy="random")
+        with pytest.raises(ValueError, match="selector|numpy"):
+            ByzBatchEngine(11, 2, [0], selector="random")
         if numpy_available():
-            with pytest.raises(ValueError, match="strategy"):
-                ByzBatchEngine(11, 2, [0], strategy="random", backend="numpy")
-            with pytest.raises(ValueError, match="selector"):
-                ByzBatchEngine(11, 2, [0], selector="random", backend="numpy")
-        with pytest.raises(ValueError, match="backend"):
-            ByzBatchEngine(11, 2, [0], backend="cuda")
+            assert ByzBatchEngine(11, 2, [0]).batch_size == 1
         with pytest.raises(ValueError, match="seed"):
             ByzBatchEngine(11, 2, [])
         with pytest.raises(ValueError, match="5f"):
@@ -401,8 +420,6 @@ class TestByzBatchMatchesSerial:
             ByzBatchEngine(8, 1, [0], adversary="mobile-rotate")
         with pytest.raises(ValueError, match="mobile mode"):
             ByzBatchEngine(8, None, [0], adversary="mobile-nope")
-        with pytest.raises(ValueError, match="width"):
-            ByzBatchEngine(11, 2, [0], width=0)
 
 
 class TestMobileBatchMatchesSerial:
@@ -411,20 +428,16 @@ class TestMobileBatchMatchesSerial:
     @pytest.mark.parametrize("mode", MOBILE_MODES)
     def test_lanes_match_serial_engines_full_state(self, mode):
         # The shared harness, full state keys (strictly stronger than
-        # the old picklable-summary comparison): serial sweep == both
-        # batch backends on one 5-lane batch per backend.
+        # the old picklable-summary comparison): serial sweep == the
+        # family's batch lanes on one 5-lane batch.
         assert_equivalent_runs(
             [{"family": "mobile", "n": 8, "mode": mode, "seeds": tuple(range(5))}],
-            {
-                "serial-fast": serial_executor(),
-                "batch-python": batch_executor("python"),
-                "batch-numpy": batch_executor("numpy"),
-            },
+            {"serial-fast": serial_executor(), "batch": batch_executor()},
         )
 
     def test_batched_summaries_equal_serial_trial_summaries(self):
         seeds = list(range(3))
-        lanes = run_byz_batch(8, None, seeds, adversary="mobile-block_min")
+        lanes = resolve(spec_for("byz", {"n": 8, "mode": "block_min"})).batch(seeds)
         serial = [
             run_byz_trial(n=8, adversary="mobile-block_min", seed=s) for s in seeds
         ]
@@ -432,15 +445,14 @@ class TestMobileBatchMatchesSerial:
 
         assert [_lane_summary(lane, 1e-3) for lane in lanes] == serial
 
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+    @needs_numpy
     @pytest.mark.parametrize("mode", MOBILE_MODES)
     def test_numpy_backend_matches_python_fallback(self, mode):
+        # The kernel vs serial_lanes, one multi-lane batch each.
         seeds = [2, 7, 9]
         assert run_byz_batch(
-            8, None, seeds, adversary=f"mobile-{mode}", backend="numpy"
-        ) == run_byz_batch(
-            8, None, seeds, adversary=f"mobile-{mode}", backend="python"
-        )
+            8, None, seeds, adversary=f"mobile-{mode}"
+        ) == serial_lanes(seeds, partial(build_mobile_execution, n=8, mode=mode))
 
     def test_victim_hook_matches_per_receiver_specification(self):
         # mobile_victims (what both the serial adversary and the numpy
@@ -517,8 +529,10 @@ class TestNearestVectorization:
         # every later round breaks distance ties by node ID. A tiny
         # epsilon keeps the lanes in that regime for many rounds.
         seeds = list(range(4))
-        lanes = run_dbac_batch(11, 2, seeds, epsilon=1e-12, backend="numpy")
-        assert lanes == run_dbac_batch(11, 2, seeds, epsilon=1e-12, backend="python")
+        lanes = run_dbac_batch(11, 2, seeds, epsilon=1e-12)
+        assert lanes == serial_lanes(
+            seeds, partial(build_dbac_trial_execution, n=11, f=2, epsilon=1e-12)
+        )
         for seed, lane in zip(seeds, lanes):
             engine, result = run_serial_dbac_lane(
                 11, 2, seed, 1, "nearest", "extreme", epsilon=1e-12
@@ -530,49 +544,31 @@ class TestNearestVectorization:
             }
 
 
-class TestLaneCompaction:
-    """Compaction / width chunking: a pure scheduling knob."""
+class TestSerialLanes:
+    """serial_lanes: the per-seed path every non-kernel lane takes."""
 
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    @pytest.mark.parametrize("width,compact", [
-        (3, True), (3, False), (4, True), (1, True), (16, True), (16, False),
-    ])
-    def test_dbac_results_identical_at_any_width(self, width, compact):
-        seeds = [5, 0, 13, 2, 7, 7, 1, 9, 4, 3, 11, 6, 8, 10, 12, 14]
-        base = run_dbac_batch(11, 2, seeds, backend="numpy")
-        assert run_dbac_batch(
-            11, 2, seeds, width=width, compact=compact, backend="numpy"
-        ) == base
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    def test_compaction_on_off_equality_across_families(self):
-        seeds = list(range(12))
-        for kwargs in (
-            {"adversary": "quorum"},
-            {"adversary": "mobile-block_min"},
-            {"adversary": "quorum", "window": 2},
-        ):
-            on = run_byz_batch(
-                11, None if "mobile" in kwargs["adversary"] else 2, seeds,
-                width=4, compact=True, **kwargs,
-            )
-            off = run_byz_batch(
-                11, None if "mobile" in kwargs["adversary"] else 2, seeds,
-                width=4, compact=False, **kwargs,
-            )
-            assert on == off, kwargs
-            assert [lane.seed for lane in on] == seeds
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    def test_refilled_rows_restart_from_round_zero(self):
-        # Mixed caps: with width 2 and compaction, later seeds run in
-        # rows freed by earlier lanes; their round counts must match
-        # full-width runs exactly.
-        seeds = list(range(8))
-        full = run_dbac_batch(11, 2, seeds, backend="numpy")
-        narrow = run_dbac_batch(11, 2, seeds, width=2, compact=True, backend="numpy")
-        assert [lane.rounds for lane in narrow] == [lane.rounds for lane in full]
-        assert narrow == full
+    @pytest.mark.parametrize(
+        "entry", algorithm_entries(), ids=lambda entry: f"{entry.name}@{entry.version}"
+    )
+    def test_equals_per_seed_engine_runs_for_every_family(self, entry):
+        # Each registered family's first conformance configuration,
+        # three seeds: serial_lanes over the family's own build must
+        # equal one Engine.run per seed, field for field.
+        params = next(iter(entry.obj.conformance.values()))[0]
+        config = normalize_config({"family": entry.name, **params, "seeds": (0, 1, 2)})
+        family_params = {k: v for k, v in config.items() if k not in ("family", "seeds")}
+        lanes = serial_lanes(config["seeds"], partial(entry.obj.build, **family_params))
+        assert [lane.seed for lane in lanes] == list(config["seeds"])
+        assert [
+            {
+                "rounds": lane.rounds,
+                "stopped": lane.stopped,
+                "inputs": lane.inputs,
+                "outputs": lane.outputs,
+                "state_keys": lane.state_keys,
+            }
+            for lane in lanes
+        ] == run_config_serial(config)
 
 
 class TestByzBatchedTrialFunctions:

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from repro.bench.cli import main as bench_main
+from repro.bench.sweep import Sweep
 from repro.cli import main as scenario_main
+from repro.scenario import algorithm_entries, resolve, spec_for
 
 
 class TestScenarioCli:
@@ -96,6 +98,27 @@ class TestScenarioCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert "seed=0" in out and "'rounds'" in out
+
+    @pytest.mark.parametrize("family", [entry.name for entry in algorithm_entries()])
+    def test_family_sweep_runs_the_registered_defaults(self, family, capsys, monkeypatch):
+        # Family mode must run each cell exactly as the registry
+        # resolves the family: the byz family is mobile-block_min, not
+        # run_byz_trial's own quorum (DBAC) default.
+        records = []
+        real_run = Sweep.run
+
+        def recording_run(self, *args, **kwargs):
+            records.extend(real_run(self, *args, **kwargs))
+            return records
+
+        monkeypatch.setattr(Sweep, "run", recording_run)
+        scenario_main(["sweep", "--family", family, "--n", "9", "--repeats", "2", "--seed", "3"])
+        capsys.readouterr()
+        resolved = resolve(spec_for(family, {"n": 9}))
+        assert [record.seed for record in records] == [3, 4]
+        assert [record.result for record in records] == [
+            resolved.run(seed) for seed in (3, 4)
+        ]
 
 
 class TestBenchCli:

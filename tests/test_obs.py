@@ -7,7 +7,7 @@ The load-bearing guarantees here:
 - worker processes forward their observer events/summaries back
   bit-identically to a serial run (the ``repro.sim.parallel``
   forwarding contract);
-- the batch engines surface per-lane completion through ``on_lane``.
+- the batch kernels surface per-lane completion through ``on_lane``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.obs import (
     consensus_hooks,
     lane_finished,
 )
-from repro.sim.batch import run_dac_batch
+from repro.sim.batch import numpy_available, run_dac_batch
 from repro.sim.engine import Engine
 from repro.sim.parallel import TrialSpec, run_trials
 from repro.sim.runner import run_consensus
@@ -336,6 +336,7 @@ class TestWorkerForwarding:
 # -- batch lanes -----------------------------------------------------------
 
 
+@pytest.mark.skipif(not numpy_available(), reason="on_lane rides the numpy kernels")
 class TestBatchLaneEvents:
     def test_on_lane_publishes_per_lane_run_finished(self):
         bus = ObserverBus()
@@ -345,7 +346,6 @@ class TestBatchLaneEvents:
             5,
             2,
             [0, 1, 2],
-            backend="python",
             on_lane=lambda lane: lane_finished(bus, lane),
         )
         assert [e.seed for e in finishes] == [0, 1, 2]
@@ -359,7 +359,7 @@ class TestBatchLaneEvents:
         batch_events = []
         bus.subscribe(RunFinished, batch_events.append)
         run_dac_batch(
-            5, 2, [9], backend="python",
+            5, 2, [9],
             on_lane=lambda lane: lane_finished(bus, lane),
         )
         serial = serial_executor()({"family": "dac", "n": 5, "seed": 9})
